@@ -10,7 +10,6 @@ package main
 // promotion path runs on every commit, not just when a node really dies.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -195,15 +194,15 @@ func runCluster(sys *fisql.System, corpus string, dbs []string,
 				questions := questionsByDB[cw.db]
 				for time.Now().Before(until) {
 					if len(cw.acked) > 0 && rng.Intn(4) == 0 {
-						code, err := getStatus(client, base+"/v1/sessions/"+cw.id+"/history")
-						cw.note(code, err, "history")
+						r, err := request(client, http.MethodGet, base+"/v1/sessions/"+cw.id+"/history", nil)
+						cw.note(r.status, err, "history")
 						continue
 					}
 					q := questions[rng.Intn(len(questions))]
-					code, err := postStatus(client, base+"/v1/sessions/"+cw.id+"/ask",
+					r, err := request(client, http.MethodPost, base+"/v1/sessions/"+cw.id+"/ask",
 						map[string]string{"question": q})
-					cw.note(code, err, "ask")
-					if code == http.StatusOK {
+					cw.note(r.status, err, "ask")
+					if r.status == http.StatusOK {
 						cw.acked = append(cw.acked, q)
 					}
 				}
@@ -244,9 +243,10 @@ func runCluster(sys *fisql.System, corpus string, dbs []string,
 		if err != nil {
 			log.Fatalf("cluster scenario: post-failover create: %v", err)
 		}
-		if code, err := postStatus(client, base+"/v1/sessions/"+id+"/ask",
-			map[string]string{"question": questionsByDB[dbs[i%len(dbs)]][0]}); err != nil || code != http.StatusOK {
-			log.Fatalf("cluster scenario: post-failover ask on %s: code %d err %v", id, code, err)
+		r, err := request(client, http.MethodPost, base+"/v1/sessions/"+id+"/ask",
+			map[string]string{"question": questionsByDB[dbs[i%len(dbs)]][0]})
+		if err != nil || r.status != http.StatusOK {
+			log.Fatalf("cluster scenario: post-failover ask on %s: code %d err %v", id, r.status, err)
 		}
 	}
 
@@ -298,7 +298,7 @@ func runCluster(sys *fisql.System, corpus string, dbs []string,
 	// (5) Metrics stay scrapeable and well-formed on the router and every
 	// survivor.
 	for _, target := range append([]string{base}, survivorURLs(nodes)...) {
-		if err := checkMetricsEndpoint(client, target); err != nil {
+		if _, err := scrapeMetrics(client, target); err != nil {
 			log.Printf("FAIL: metrics on %s: %v", target, err)
 			failures++
 		}
@@ -366,48 +366,4 @@ func survivorURLs(nodes []*clusterNode) []string {
 		}
 	}
 	return out
-}
-
-// checkMetricsEndpoint requires a 200 /v1/metrics whose JSON body decodes
-// to a snapshot with sane histograms.
-func checkMetricsEndpoint(client *http.Client, base string) error {
-	resp, err := client.Get(base + "/v1/metrics")
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return fmt.Errorf("body did not decode: %v", err)
-	}
-	for name, h := range snap.Histograms {
-		if h.Count < 0 || len(h.Buckets) == 0 {
-			return fmt.Errorf("histogram %s malformed", name)
-		}
-	}
-	return nil
-}
-
-// postStatus posts and returns the status code; unlike post it treats
-// non-200 as data, not an error — the cluster scenario audits codes itself.
-func postStatus(client *http.Client, url string, payload map[string]string) (int, error) {
-	body, _ := json.Marshal(payload)
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	drain(resp)
-	return resp.StatusCode, nil
-}
-
-func getStatus(client *http.Client, url string) (int, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	drain(resp)
-	return resp.StatusCode, nil
 }

@@ -111,9 +111,13 @@ func openEventStream(client *http.Client, base, sid string, from uint64) (*http.
 
 // followEvents keeps a subscription alive until the terminal delete event:
 // a torn connection (owner failover, injected reconnect) is resumed with
-// Last-Event-ID, retrying through the promotion window. Returns the full
-// event list as this subscriber saw it, reconnects included.
-func followEvents(client *http.Client, base, sid string, reconnectAfter int) ([]fanoutEvent, error) {
+// Last-Event-ID, retrying through the promotion window. caughtUp runs once
+// the subscriber holds want events: the driver deletes the session only
+// after every subscriber has caught up, because a subscriber still
+// between connections when the session ends can only get 404. Returns the
+// full event list as this subscriber saw it, reconnects included.
+func followEvents(client *http.Client, base, sid string, reconnectAfter, want int,
+	caughtUp func()) ([]fanoutEvent, error) {
 	var events []fanoutEvent
 	var last uint64
 	reconnects := 0
@@ -144,6 +148,9 @@ func followEvents(client *http.Client, base, sid string, reconnectAfter int) ([]
 				break // torn mid-stream: resume from last
 			}
 			events = append(events, ev)
+			if len(events) == want {
+				caughtUp()
+			}
 			if ev.name == "delete" {
 				resp.Body.Close()
 				return events, nil
@@ -192,31 +199,19 @@ func auditStreams(streams [][]fanoutEvent, wantEvents int) int {
 	return failures
 }
 
-func deleteFanoutSession(client *http.Client, base, sid string) error {
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/sessions/"+sid, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("delete %s: status %d", sid, resp.StatusCode)
-	}
-	return nil
-}
-
 // askLatencies drives n sequential asks and returns the sorted latencies.
 func askLatencies(client *http.Client, base, sid string, questions []string, n int) ([]time.Duration, error) {
 	lats := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
 		q := questions[i%len(questions)]
 		t0 := time.Now()
-		if err := post(client, base+"/v1/sessions/"+sid+"/ask",
-			map[string]string{"question": q}); err != nil {
+		r, err := request(client, http.MethodPost, base+"/v1/sessions/"+sid+"/ask",
+			map[string]string{"question": q})
+		if err != nil {
 			return nil, err
+		}
+		if r.status != http.StatusOK {
+			return nil, fmt.Errorf("ask %s: status %d", sid, r.status)
 		}
 		lats = append(lats, time.Since(t0))
 	}
@@ -280,16 +275,20 @@ func runFanout(sys *fisql.System, corpus string, dbs []string,
 	wantEvents := 1 + 4*cfg.Asks + 1 // open + turns + delete
 	streams := make([][]fanoutEvent, cfg.Subscribers)
 	errs := make([]error, cfg.Subscribers)
-	var wg sync.WaitGroup
+	var wg, caughtUp sync.WaitGroup
 	for i := 0; i < cfg.Subscribers; i++ {
 		reconnectAfter := 0
 		if i == 0 {
 			reconnectAfter = 1 + 4*(cfg.Asks/2)
 		}
 		wg.Add(1)
+		caughtUp.Add(1)
 		go func(i, reconnectAfter int) {
 			defer wg.Done()
-			streams[i], errs[i] = followEvents(client, ts.URL, sid, reconnectAfter)
+			var once sync.Once
+			done := func() { once.Do(caughtUp.Done) }
+			defer done() // a subscriber that gives up must not block the delete
+			streams[i], errs[i] = followEvents(client, ts.URL, sid, reconnectAfter, wantEvents-1, done)
 		}(i, reconnectAfter)
 	}
 	stalled, _, err := openEventStream(client, ts.URL, sid, 0)
@@ -301,8 +300,9 @@ func runFanout(sys *fisql.System, corpus string, dbs []string,
 	if err != nil {
 		log.Fatalf("fanout scenario: loaded ask: %v", err)
 	}
-	if err := deleteFanoutSession(client, ts.URL, sid); err != nil {
-		log.Fatalf("fanout scenario: %v", err)
+	caughtUp.Wait()
+	if r, err := request(client, http.MethodDelete, ts.URL+"/v1/sessions/"+sid, nil); err != nil || r.status != http.StatusOK {
+		log.Fatalf("fanout scenario: delete %s: status %d err %v", sid, r.status, err)
 	}
 	wg.Wait()
 	stalled.Body.Close()
@@ -427,12 +427,16 @@ func runFanoutCluster(sys *fisql.System, corpus, db string, questions []string, 
 	wantEvents := 1 + 4*cfg.Asks + 1
 	streams := make([][]fanoutEvent, cfg.Subscribers)
 	errs := make([]error, cfg.Subscribers)
-	var wg sync.WaitGroup
+	var wg, caughtUp sync.WaitGroup
 	for i := 0; i < cfg.Subscribers; i++ {
 		wg.Add(1)
+		caughtUp.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i], errs[i] = followEvents(client, base, sid, 0)
+			var once sync.Once
+			done := func() { once.Do(caughtUp.Done) }
+			defer done()
+			streams[i], errs[i] = followEvents(client, base, sid, 0, wantEvents-1, done)
 		}(i)
 	}
 
@@ -460,8 +464,9 @@ func runFanoutCluster(sys *fisql.System, corpus, db string, questions []string, 
 	if _, err := askLatencies(client, base, sid, questions, cfg.Asks-firstHalf); err != nil {
 		log.Fatalf("fanout scenario: post-failover ask: %v", err)
 	}
-	if err := deleteFanoutSession(client, base, sid); err != nil {
-		log.Fatalf("fanout scenario: %v", err)
+	caughtUp.Wait()
+	if r, err := request(client, http.MethodDelete, base+"/v1/sessions/"+sid, nil); err != nil || r.status != http.StatusOK {
+		log.Fatalf("fanout scenario: delete %s: status %d err %v", sid, r.status, err)
 	}
 	wg.Wait()
 

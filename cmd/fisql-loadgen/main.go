@@ -330,25 +330,27 @@ func main() {
 				if !asked {
 					op = opAsk
 				}
-				var reqErr error
+				var r reply
+				var err error
 				t0 := time.Now()
 				switch op {
 				case opAsk:
 					q := questions[rng.Intn(len(questions))]
-					reqErr = post(client, sessURL+"/ask", map[string]string{"question": q})
-					if reqErr == nil {
-						asked = true
-					}
+					r, err = request(client, http.MethodPost, sessURL+"/ask",
+						map[string]string{"question": q})
 				case opFeedback:
 					fb := feedbackTexts[rng.Intn(len(feedbackTexts))]
-					reqErr = post(client, sessURL+"/feedback", map[string]string{"text": fb})
+					r, err = request(client, http.MethodPost, sessURL+"/feedback",
+						map[string]string{"text": fb})
 				case opHistory:
-					reqErr = get(client, sessURL+"/history")
+					r, err = request(client, http.MethodGet, sessURL+"/history", nil)
 				}
 				st.latencies = append(st.latencies, time.Since(t0))
 				st.opCounts[op]++
-				if reqErr != nil {
+				if err != nil || r.status != http.StatusOK {
 					st.errors++
+				} else if op == opAsk {
+					asked = true
 				}
 			}
 		}(w)
@@ -377,7 +379,16 @@ func main() {
 	}
 
 	if *metricsOn {
-		scrapeMetrics(client, base, inProcess, &rep)
+		// Malformed output from the in-process server is a bug in this repo
+		// and fatal; a -addr target may simply run without -metrics, so
+		// there a failed scrape only warns.
+		if snap, err := scrapeMetrics(client, base); err == nil {
+			rep.fold(snap)
+		} else if inProcess {
+			log.Fatalf("metrics scrape: %v", err)
+		} else {
+			log.Printf("warning: metrics scrape skipped: %v", err)
+		}
 	}
 
 	fmt.Printf("fisql-loadgen: corpus=%s sessions=%d duration=%s mix=%s target=%s\n",
@@ -442,14 +453,16 @@ func runRestart(sys *fisql.System, corpus string, dbs []string,
 			log.Fatalf("restart scenario: %v", err)
 		}
 		sessURL := ts.URL + "/v1/sessions/" + sid
-		if err := post(client, sessURL+"/ask",
-			map[string]string{"question": questions[i%len(questions)]}); err != nil {
-			log.Fatalf("restart scenario: %v", err)
+		r, err := request(client, http.MethodPost, sessURL+"/ask",
+			map[string]string{"question": questions[i%len(questions)]})
+		if err != nil || r.status != http.StatusOK {
+			log.Fatalf("restart scenario: ask %s: status %d err %v", sid, r.status, err)
 		}
 		if i%3 == 0 {
-			if err := post(client, sessURL+"/feedback",
-				map[string]string{"text": feedbackTexts[i%len(feedbackTexts)]}); err != nil {
-				log.Fatalf("restart scenario: %v", err)
+			r, err := request(client, http.MethodPost, sessURL+"/feedback",
+				map[string]string{"text": feedbackTexts[i%len(feedbackTexts)]})
+			if err != nil || r.status != http.StatusOK {
+				log.Fatalf("restart scenario: feedback %s: status %d err %v", sid, r.status, err)
 			}
 		}
 		ids = append(ids, sid)
@@ -511,84 +524,49 @@ func runRestart(sys *fisql.System, corpus string, dbs []string,
 	return 0
 }
 
-// getBody fetches url and returns the raw response body.
-func getBody(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return body, nil
-}
-
-// scrapeMetrics pulls /v1/metrics in both forms, checks they are
-// well-formed, and folds the per-stage histograms and the cache counters
-// into the report. Malformed output from the in-process server is a bug in
-// this repo and fatal; a -addr target may simply run without -metrics, so
-// absence there only warns.
-func scrapeMetrics(client *http.Client, base string, inProcess bool, rep *report) {
-	fail := func(format string, args ...any) {
-		if inProcess {
-			log.Fatalf("metrics scrape: "+format, args...)
-		}
-		log.Printf("warning: metrics scrape skipped: "+format, args...)
-	}
-	resp, err := client.Get(base + "/v1/metrics")
-	if err != nil {
-		fail("%v", err)
-		return
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		fail("status %d (target started without -metrics?)", resp.StatusCode)
-		return
-	}
+// scrapeMetrics pulls /v1/metrics in both forms and checks they are
+// well-formed: a JSON snapshot with stage histograms whose buckets end at
+// +Inf with the full count, and a Prometheus text form exposing the same
+// families. It returns the JSON snapshot.
+func scrapeMetrics(client *http.Client, base string) (obs.Snapshot, error) {
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		fail("JSON body did not decode: %v", err)
-		return
+	r, err := request(client, http.MethodGet, base+"/v1/metrics", nil)
+	if err != nil {
+		return snap, err
+	}
+	if r.status != http.StatusOK {
+		return snap, fmt.Errorf("status %d (target started without -metrics?)", r.status)
+	}
+	if err := json.Unmarshal(r.body, &snap); err != nil {
+		return snap, fmt.Errorf("JSON body did not decode: %v", err)
 	}
 	if len(snap.Histograms) == 0 {
-		fail("snapshot has no histograms")
-		return
+		return snap, fmt.Errorf("snapshot has no histograms")
 	}
 	for name, h := range snap.Histograms {
 		if h.Count < 0 || len(h.Buckets) == 0 {
-			fail("histogram %s malformed: count=%d buckets=%d", name, h.Count, len(h.Buckets))
-			return
+			return snap, fmt.Errorf("histogram %s malformed: count=%d buckets=%d", name, h.Count, len(h.Buckets))
 		}
 		if last := h.Buckets[len(h.Buckets)-1]; last.LE != "+Inf" || last.Count != h.Count {
-			fail("histogram %s: last bucket %s=%d, want +Inf=%d", name, last.LE, last.Count, h.Count)
-			return
+			return snap, fmt.Errorf("histogram %s: last bucket %s=%d, want +Inf=%d", name, last.LE, last.Count, h.Count)
 		}
 	}
 
-	// The Prometheus text form must expose the same families.
-	presp, err := client.Get(base + "/v1/metrics?format=prometheus")
-	if err != nil {
-		fail("prometheus form: %v", err)
-		return
-	}
-	defer drain(presp)
-	ptext, err := io.ReadAll(presp.Body)
-	if err != nil || presp.StatusCode != http.StatusOK {
-		fail("prometheus form: status %d err %v", presp.StatusCode, err)
-		return
+	r, err = request(client, http.MethodGet, base+"/v1/metrics?format=prometheus", nil)
+	if err != nil || r.status != http.StatusOK {
+		return snap, fmt.Errorf("prometheus form: status %d err %v", r.status, err)
 	}
 	for _, want := range []string{"# TYPE ", "_bucket{le=\"+Inf\"}", "_count"} {
-		if !strings.Contains(string(ptext), want) {
-			fail("prometheus text missing %q", want)
-			return
+		if !strings.Contains(string(r.body), want) {
+			return snap, fmt.Errorf("prometheus text missing %q", want)
 		}
 	}
+	return snap, nil
+}
 
+// fold copies the snapshot's non-empty per-stage histograms and its
+// counters into the report.
+func (rep *report) fold(snap obs.Snapshot) {
 	var stageNames []string
 	for name := range snap.Histograms {
 		if strings.HasPrefix(name, "fisql_stage_") {
@@ -669,53 +647,59 @@ func pickOp(rng *rand.Rand, w [numOps]int) opKind {
 }
 
 func createSession(client *http.Client, base, corpus, db string) (string, error) {
-	body, _ := json.Marshal(map[string]string{"corpus": corpus, "db": db})
-	resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(body))
+	r, err := request(client, http.MethodPost, base+"/v1/sessions",
+		map[string]string{"corpus": corpus, "db": db})
 	if err != nil {
 		return "", err
 	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("create session: status %d", resp.StatusCode)
+	if r.status != http.StatusOK {
+		return "", fmt.Errorf("create session: status %d", r.status)
 	}
 	var out struct {
 		SessionID string `json:"session_id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.SessionID == "" {
+	if err := json.Unmarshal(r.body, &out); err != nil || out.SessionID == "" {
 		return "", fmt.Errorf("create session: bad body (%v)", err)
 	}
 	return out.SessionID, nil
 }
 
-func post(client *http.Client, url string, payload map[string]string) error {
-	body, _ := json.Marshal(payload)
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
-	}
-	return nil
+// reply is one HTTP response, read to the end.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte
 }
 
-func get(client *http.Client, url string) error {
-	resp, err := client.Get(url)
+// request sends one request — payload, when non-nil, JSON-encoded as the
+// body — and returns the whole response. A non-200 status is data, not an
+// error: callers check it themselves. On error the reply is zero.
+func request(client *http.Client, method, url string, payload any) (reply, error) {
+	var rd io.Reader
+	if payload != nil {
+		b, err := json.Marshal(payload)
+		if err != nil {
+			return reply{}, err
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		return err
+		return reply{}, err
 	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	return nil
-}
-
-// drain consumes the body so the transport can reuse the connection.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp, err := client.Do(req)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return reply{}, err
+	}
+	return reply{status: resp.StatusCode, header: resp.Header, body: body}, nil
 }
 
 func percentile(sorted []time.Duration, p int) time.Duration {

@@ -4,8 +4,8 @@
 //
 // The scenario builds an in-process server whose capacity is real: the
 // answer memo is disabled (every ask exercises the model path), the
-// simulated model is slowed by an injected per-call latency, calls are
-// batched like a production deployment, and asks are admission-limited.
+// simulated model is slowed by an injected per-call latency, and asks are
+// admission-limited.
 // Phase one drives exactly as many workers as the ask limit — the server at
 // capacity — and records the baseline p99. Phase two drives
 // -overload-factor times as many workers and asserts that overload degrades
@@ -75,10 +75,9 @@ type phaseResult struct {
 func runOverload(sys *fisql.System, corpus string, dbs []string,
 	questionsByDB map[string][]string, cfg overloadConfig) int {
 	// Real capacity: every ask reaches the model (no memo) and every model
-	// call costs LLMLatency, batched as a production deployment would be.
+	// call costs LLMLatency.
 	innerClient := sys.Client
-	sys.Client = llm.NewBatcher(&llm.Flaky{Inner: innerClient, Latency: cfg.LLMLatency},
-		llm.BatcherConfig{})
+	sys.Client = &llm.Flaky{Inner: innerClient, Latency: cfg.LLMLatency}
 	sys.Memo = nil
 
 	dir, err := os.MkdirTemp("", "fisql-overload-*")
@@ -149,13 +148,13 @@ func runOverload(sys *fisql.System, corpus string, dbs []string,
 	capture := make(map[string][]byte, len(ids))
 	captureErrs := 0
 	for _, sid := range ids {
-		body, err := getBody(client, ts.URL+"/v1/sessions/"+sid+"/history")
-		if err != nil {
-			log.Printf("FAIL: overload capture %s: %v", sid, err)
+		r, err := request(client, http.MethodGet, ts.URL+"/v1/sessions/"+sid+"/history", nil)
+		if err != nil || r.status != http.StatusOK {
+			log.Printf("FAIL: overload capture %s: status %d err %v", sid, r.status, err)
 			captureErrs++
 			continue
 		}
-		capture[sid] = body
+		capture[sid] = r.body
 	}
 	fails += captureErrs
 	ts.Close()
@@ -190,13 +189,13 @@ func runOverload(sys *fisql.System, corpus string, dbs []string,
 		if _, ok := capture[sid]; !ok {
 			continue
 		}
-		body, err := getBody(client, ts2.URL+"/v1/sessions/"+sid+"/history")
-		if err != nil {
-			log.Printf("FAIL: overload recovered history %s: %v", sid, err)
+		r, err := request(client, http.MethodGet, ts2.URL+"/v1/sessions/"+sid+"/history", nil)
+		if err != nil || r.status != http.StatusOK {
+			log.Printf("FAIL: overload recovered history %s: status %d err %v", sid, r.status, err)
 			mismatches++
 			continue
 		}
-		if !bytes.Equal(body, capture[sid]) {
+		if !bytes.Equal(r.body, capture[sid]) {
 			log.Printf("FAIL: overload history %s differs after recovery", sid)
 			mismatches++
 		}
@@ -285,30 +284,30 @@ func overloadPhase(client *http.Client, base, corpus string, dbs []string,
 // postAsk posts one question and reports (status, Retry-After header,
 // whether a non-200 body is the standard JSON error shape).
 func postAsk(client *http.Client, url, question string) (status int, retryAfter string, bodyOK bool, err error) {
-	body, _ := json.Marshal(map[string]string{"question": question})
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+	r, err := request(client, http.MethodPost, url, map[string]string{"question": question})
 	if err != nil {
 		return 0, "", false, err
 	}
-	defer drain(resp)
-	if resp.StatusCode == http.StatusOK {
-		return resp.StatusCode, "", true, nil
+	if r.status == http.StatusOK {
+		return r.status, "", true, nil
 	}
 	var errBody struct {
 		Error string `json:"error"`
 	}
-	bodyOK = json.NewDecoder(resp.Body).Decode(&errBody) == nil && errBody.Error != "" &&
-		resp.Header.Get("Content-Type") == "application/json"
-	return resp.StatusCode, resp.Header.Get("Retry-After"), bodyOK, nil
+	bodyOK = json.Unmarshal(r.body, &errBody) == nil && errBody.Error != "" &&
+		r.header.Get("Content-Type") == "application/json"
+	return r.status, r.header.Get("Retry-After"), bodyOK, nil
 }
 
 // checkOverloadMetrics verifies /v1/metrics after the run: both forms
-// well-formed (via scrapeMetrics), the new batch and admission series
-// present, and the server's shed counter equal to the 429s the client
-// counted. Returns the number of failed checks.
+// well-formed (via scrapeMetrics), the admission series present, and the
+// server's shed counter equal to the 429s the client counted. Returns the
+// number of failed checks.
 func checkOverloadMetrics(client *http.Client, base string, clientSheds int64) int {
-	rep := &report{}
-	scrapeMetrics(client, base, true, rep) // fatal on malformed output
+	snap, err := scrapeMetrics(client, base)
+	if err != nil {
+		log.Fatalf("metrics scrape: %v", err) // malformed in-process output is a bug
+	}
 	fails := 0
 	check := func(ok bool, format string, args ...any) {
 		if !ok {
@@ -317,36 +316,16 @@ func checkOverloadMetrics(client *http.Client, base string, clientSheds int64) i
 		}
 	}
 	for _, name := range []string{
-		"fisql_llm_batch_calls_total",
-		"fisql_llm_batches_total",
 		"fisql_admission_ask_admitted_total",
 		"fisql_admission_ask_shed_total",
 	} {
-		_, ok := rep.Counters[name]
+		_, ok := snap.Counters[name]
 		check(ok, "metrics snapshot is missing counter %s", name)
 	}
-	check(rep.Counters["fisql_llm_batches_total"] > 0,
-		"no batches reached the model backend; the batcher is not engaging")
-	check(rep.Counters["fisql_admission_ask_shed_total"] == clientSheds,
+	check(snap.Counters["fisql_admission_ask_shed_total"] == clientSheds,
 		"server shed counter %d != client-observed 429s %d — responses were lost or double-counted",
-		rep.Counters["fisql_admission_ask_shed_total"], clientSheds)
-	resp, err := client.Get(base + "/v1/metrics")
-	if err != nil {
-		check(false, "re-scrape metrics: %v", err)
-		return fails
-	}
-	defer drain(resp)
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		check(false, "re-scrape metrics: %v", err)
-		return fails
-	}
-	for _, name := range []string{
-		"fisql_llm_batch_wait_seconds",
-		"fisql_admission_ask_queue_seconds",
-	} {
-		_, ok := snap.Histograms[name]
-		check(ok, "metrics snapshot is missing histogram %s", name)
-	}
+		snap.Counters["fisql_admission_ask_shed_total"], clientSheds)
+	_, ok := snap.Histograms["fisql_admission_ask_queue_seconds"]
+	check(ok, "metrics snapshot is missing histogram fisql_admission_ask_queue_seconds")
 	return fails
 }

@@ -32,9 +32,7 @@
 // file. Graceful shutdown checkpoints the journal down to the live
 // sessions.
 //
-// Overload safety is opt-in and two-layered. -llm-batch coalesces
-// concurrent model calls into deadline-bounded batches (-llm-batch-wait,
-// -llm-batch-concurrency) in front of each corpus's client. -ask-limit and
+// Overload safety is opt-in admission control: -ask-limit and
 // -feedback-limit bound pipeline concurrency per endpoint class with a
 // small admission queue (-admission-queue, -queue-timeout); a request that
 // finds the queue full is shed with 429 and a Retry-After hint
@@ -64,7 +62,6 @@ import (
 
 	"fisql"
 	"fisql/internal/cluster"
-	"fisql/internal/llm"
 	"fisql/internal/obs"
 	"fisql/internal/persist"
 	"fisql/internal/server"
@@ -98,12 +95,6 @@ func main() {
 		"journal fsync policy: always, interval or off")
 	journalCompact := flag.Int64("journal-compact", persist.DefaultCompactMinBytes,
 		"compact the journal once this many dead bytes accumulate (<= 0 disables auto-compaction)")
-	llmBatch := flag.Int("llm-batch", 0,
-		"coalesce concurrent LLM calls into batches of up to this size (0 disables batching)")
-	llmBatchWait := flag.Duration("llm-batch-wait", llm.DefaultMaxWait,
-		"how long a collecting batch waits for company before flushing")
-	llmBatchConc := flag.Int("llm-batch-concurrency", 0,
-		"max LLM batches in flight at once (0 for unlimited)")
 	askLimit := flag.Int("ask-limit", 0,
 		"max concurrently running asks before admission queueing (0 for unlimited)")
 	fbLimit := flag.Int("feedback-limit", 0,
@@ -155,14 +146,6 @@ func main() {
 			log.Fatalf("-rag-index: %v", err)
 		}
 		sys.FoldFeedback = *ragFold
-	}
-	if *llmBatch > 0 {
-		// Wrap before Observe so the batcher's counters register too. Every
-		// consumer of the system's client (assistant, correctors) now batches.
-		cfg := llm.BatcherConfig{MaxBatch: *llmBatch, MaxWait: *llmBatchWait,
-			MaxConcurrent: *llmBatchConc}
-		sp.Client = llm.NewBatcher(sp.Client, cfg)
-		ae.Client = llm.NewBatcher(ae.Client, cfg)
 	}
 	opts := []server.Option{
 		server.WithMaxSessions(*maxSessions),

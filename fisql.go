@@ -150,17 +150,6 @@ func (s *System) Observe(r *obs.Registry) {
 		lat := r.Histogram("fisql_rag_search_seconds", nil)
 		st.SetSearchObserver(func(d time.Duration) { lat.Observe(d) })
 	}
-	if b, ok := s.Client.(*llm.Batcher); ok {
-		r.CounterFunc("fisql_llm_batch_calls_total", func() int64 { return b.Stats().Calls })
-		r.CounterFunc("fisql_llm_batches_total", func() int64 { return b.Stats().Batches })
-		r.CounterFunc("fisql_llm_batch_requests_total", func() int64 { return b.Stats().Batched })
-		r.CounterFunc("fisql_llm_batch_dedup_total", func() int64 { return b.Stats().Deduped })
-		r.CounterFunc("fisql_llm_batch_full_total", func() int64 { return b.Stats().FullFlushes })
-		r.CounterFunc("fisql_llm_batch_deadline_total", func() int64 { return b.Stats().DeadlineFlushes })
-		r.CounterFunc("fisql_llm_batch_abandoned_total", func() int64 { return b.Stats().AbandonedBatches })
-		waits := r.Histogram("fisql_llm_batch_wait_seconds", nil)
-		b.SetFlushObserver(func(_ int, wait time.Duration) { waits.Observe(wait) })
-	}
 	if s.DS != nil && len(s.DS.DBs) > 0 {
 		// Engine columnar-execution counters, summed across the corpus's
 		// databases (each Database keeps its own atomic tallies).

@@ -100,23 +100,6 @@ func (s *Sim) Complete(_ context.Context, req Request) (Response, error) {
 	}, nil
 }
 
-// CompleteBatch implements BatchCompleter: one call answers every request
-// of a Batcher flush. The simulation has no per-call setup to amortize, so
-// this is semantically a loop over Complete — but it exercises the exact
-// interface a real batched backend plugs into, and per-request failures
-// (an empty prompt) stay isolated to their slot instead of failing the
-// batch.
-func (s *Sim) CompleteBatch(ctx context.Context, reqs []Request) ([]BatchResult, error) {
-	out := make([]BatchResult, len(reqs))
-	for i := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i].Response, out[i].Err = s.Complete(ctx, reqs[i])
-	}
-	return out, nil
-}
-
 // resolve finds the corpus example behind a question: exact match first,
 // then containment (a rewritten question embeds the original).
 func (s *Sim) resolve(question string) (resolved, bool, bool) {

@@ -28,7 +28,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -175,10 +174,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer sub.Cancel()
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
+	startSSE(w)
 	fl.Flush()
 	ctx := r.Context()
 	for {
@@ -201,24 +197,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Flush()
 	}
-}
-
-// writeSSE frames one event (id omitted when seq is 0). data must be
-// newline-free — every published payload is single-line JSON.
-func writeSSE(w http.ResponseWriter, seq uint64, name string, data []byte) bool {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if seq > 0 {
-		buf.WriteString("id: ")
-		buf.WriteString(strconv.FormatUint(seq, 10))
-		buf.WriteByte('\n')
-	}
-	buf.WriteString("event: ")
-	buf.WriteString(name)
-	buf.WriteString("\ndata: ")
-	buf.Write(data)
-	buf.WriteString("\n\n")
-	_, err := w.Write(buf.Bytes())
-	bufPool.Put(buf)
-	return err == nil
 }

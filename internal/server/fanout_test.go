@@ -309,6 +309,7 @@ func TestWantsSSECaseInsensitive(t *testing.T) {
 		"text/event-stream;charset=utf-8",
 		"Text/Event-Stream ; charset=utf-8",
 		"application/json, TEXT/event-stream;q=0.9",
+		"application/json,\ttext/event-stream",
 	} {
 		r := httptest.NewRequest(http.MethodPost, "/v1/sessions/s1/ask", nil)
 		r.Header.Set("Accept", accept)

@@ -63,40 +63,44 @@ func wantsSSE(r *http.Request) bool {
 // case: RFC 9110 media types are case-insensitive, so "Text/Event-Stream"
 // must opt in exactly as "text/event-stream" does.
 func containsToken(header, token string) bool {
-	for len(header) > 0 {
-		item := header
-		if i := indexByte(header, ','); i >= 0 {
-			item, header = header[:i], header[i+1:]
-		} else {
-			header = ""
-		}
-		if i := indexByte(item, ';'); i >= 0 {
-			item = item[:i]
-		}
-		if strings.EqualFold(trimSpaces(item), token) {
+	for header != "" {
+		var item string
+		item, header, _ = strings.Cut(header, ",")
+		item, _, _ = strings.Cut(item, ";")
+		if strings.EqualFold(strings.Trim(item, " \t"), token) {
 			return true
 		}
 	}
 	return false
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
+// startSSE commits the status and headers of an event-stream response.
+func startSSE(w http.ResponseWriter) {
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
 }
 
-func trimSpaces(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
+// writeSSE frames one event (id omitted when seq is 0) and reports whether
+// the write succeeded. data must be newline-free: every payload is
+// single-line JSON.
+func writeSSE(w http.ResponseWriter, seq uint64, name string, data []byte) bool {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if seq > 0 {
+		buf.WriteString("id: ")
+		buf.WriteString(strconv.FormatUint(seq, 10))
+		buf.WriteByte('\n')
 	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
+	buf.WriteString("event: ")
+	buf.WriteString(name)
+	buf.WriteString("\ndata: ")
+	buf.Write(data)
+	buf.WriteString("\n\n")
+	_, err := w.Write(buf.Bytes())
+	bufPool.Put(buf)
+	return err == nil
 }
 
 // Stage payload wire forms. resultJSON doubles as the error carrier to
@@ -152,28 +156,12 @@ func (st *sseStream) eventID(name string, data []byte, seq uint64) {
 		return
 	}
 	if !st.started {
-		h := st.w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		st.w.WriteHeader(http.StatusOK)
+		startSSE(st.w)
 		st.started = true
 	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if seq > 0 {
-		buf.WriteString("id: ")
-		buf.WriteString(strconv.FormatUint(seq, 10))
-		buf.WriteByte('\n')
-	}
-	buf.WriteString("event: ")
-	buf.WriteString(name)
-	buf.WriteString("\ndata: ")
-	buf.Write(data)
-	buf.WriteString("\n\n")
-	if _, err := st.w.Write(buf.Bytes()); err != nil {
+	if !writeSSE(st.w, seq, name, data) {
 		st.failed = true
 	}
-	bufPool.Put(buf)
 	if st.f != nil && !st.failed {
 		st.f.Flush()
 	}
