@@ -87,7 +87,7 @@ func buildColTable(t *Table) *colTable {
 					kind = kindOther
 				}
 			case TypeFloat:
-				if math.IsNaN(v.F) {
+				if math.IsNaN(v.F()) {
 					kind = kindOther
 					break
 				}

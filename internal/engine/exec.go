@@ -35,6 +35,9 @@ type Executor struct {
 	// likePatterns memoizes lowercased LIKE patterns so the per-row match
 	// does not re-lower the pattern for every candidate row.
 	likePatterns map[string]string
+	// subs memoizes the outcome of each uncorrelated subquery for the
+	// current Run; see subquery.
+	subs map[*sqlast.SelectStmt]subOutcome
 }
 
 // DefaultColumnarMinRows is the table size below which aggregated
@@ -88,9 +91,9 @@ func (ex *Executor) Run(p *Plan) (*Result, error) {
 	if p.db != ex.db {
 		return nil, fmt.Errorf("plan prepared against a different database")
 	}
-	prev := ex.plan
-	ex.plan = p
-	defer func() { ex.plan = prev }()
+	prevPlan, prevSubs := ex.plan, ex.subs
+	ex.plan, ex.subs = p, nil
+	defer func() { ex.plan, ex.subs = prevPlan, prevSubs }()
 	if !ex.noColumnar {
 		if res, ok := ex.runVec(p); ok {
 			ex.db.colHits.Add(1)
@@ -794,7 +797,7 @@ func (ex *Executor) eval(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (Value, error
 			case TypeInt:
 				return Int(-v.I), nil
 			case TypeFloat:
-				return Float(-v.F), nil
+				return Float(-v.F()), nil
 			case TypeNull:
 				return Null(), nil
 			}
@@ -854,30 +857,17 @@ func (ex *Executor) eval(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (Value, error
 		}
 		return Bool(isNull), nil
 	case *sqlast.ExistsExpr:
-		res, err := ex.execSelect(x.Sub, env)
-		if err != nil {
-			return Value{}, err
+		out := ex.subquery(x.Sub, env, existsOutcome)
+		if out.err != nil {
+			return Value{}, out.err
 		}
-		exists := len(res.Rows) > 0
 		if x.Not {
-			exists = !exists
+			return Bool(!out.val.B), nil
 		}
-		return Bool(exists), nil
+		return out.val, nil
 	case *sqlast.SubqueryExpr:
-		res, err := ex.execSelect(x.Sub, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if len(res.Rows) == 0 {
-			return Null(), nil
-		}
-		if len(res.Columns) != 1 {
-			return Value{}, fmt.Errorf("scalar subquery returned %d columns", len(res.Columns))
-		}
-		if len(res.Rows) > 1 {
-			return Value{}, fmt.Errorf("scalar subquery returned %d rows", len(res.Rows))
-		}
-		return res.Rows[0][0], nil
+		out := ex.subquery(x.Sub, env, scalarOutcome)
+		return out.val, out.err
 	case *sqlast.CaseExpr:
 		for _, w := range x.Whens {
 			ok, err := ex.evalBool(w.When, env, ctx)
@@ -1006,21 +996,15 @@ func (ex *Executor) evalIn(x *sqlast.InExpr, env *rowEnv, ctx *evalCtx) (Value, 
 	if v.IsNull() {
 		return Null(), nil
 	}
-	var candidates []Value
+	var found, sawNull bool
 	if x.Sub != nil {
-		res, err := ex.execSelect(x.Sub, env)
-		if err != nil {
-			return Value{}, err
+		out := ex.subquery(x.Sub, env, inOutcome)
+		if out.err != nil {
+			return Value{}, out.err
 		}
-		if len(res.Columns) != 1 {
-			return Value{}, fmt.Errorf("IN subquery returned %d columns", len(res.Columns))
-		}
-		candidates = make([]Value, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			candidates = append(candidates, row[0])
-		}
+		found, sawNull = out.in.contains(v), out.in.sawNull
 	} else {
-		candidates = make([]Value, 0, len(x.List))
+		candidates := make([]Value, 0, len(x.List))
 		for _, le := range x.List {
 			c, err := ex.eval(le, env, ctx)
 			if err != nil {
@@ -1028,22 +1012,157 @@ func (ex *Executor) evalIn(x *sqlast.InExpr, env *rowEnv, ctx *evalCtx) (Value, 
 			}
 			candidates = append(candidates, c)
 		}
-	}
-	sawNull := false
-	for _, c := range candidates {
-		eq, known := Equal(v, c)
-		if !known {
-			sawNull = true
-			continue
-		}
-		if eq {
-			return Bool(!x.Not), nil
+		for _, c := range candidates {
+			eq, known := Equal(v, c)
+			if !known {
+				sawNull = true
+			} else if eq {
+				found = true
+				break
+			}
 		}
 	}
-	if sawNull {
+	switch {
+	case found:
+		return Bool(!x.Not), nil
+	case sawNull:
 		return Null(), nil
 	}
 	return Bool(x.Not), nil
+}
+
+// ----------------------------------------------------------------------------
+// Subqueries
+//
+// A subquery expression runs its statement at the moment eval reaches it.
+// When the running plan marks the statement uncorrelated (see plan.go), its
+// outcome — value, candidate set or error — cannot depend on the outer row,
+// so the first evaluation in a Run is memoized and every later outer row
+// reuses it. The first use stays where the interpreter's evaluation is, so
+// a subquery that would error over an empty outer table still never runs.
+// The memo lives for one Run, so there is nothing to invalidate, and the
+// unplanned Select keeps per-row evaluation as the reference.
+
+// subOutcome is one subquery evaluation reduced to what its expression
+// needs: a scalar value, EXISTS as a Bool, or an IN candidate set.
+type subOutcome struct {
+	val Value
+	in  *inSet
+	err error
+}
+
+// subquery runs sel for the outer row env and reduces the result, reusing
+// the Run's memoized outcome when sel is uncorrelated.
+func (ex *Executor) subquery(sel *sqlast.SelectStmt, env *rowEnv, reduce func(res *Result, memo bool) subOutcome) subOutcome {
+	memo := ex.plan != nil && ex.plan.uncorrelated[sel]
+	if memo {
+		if out, ok := ex.subs[sel]; ok {
+			return out
+		}
+	}
+	var out subOutcome
+	if res, err := ex.execSelect(sel, env); err != nil {
+		out.err = err
+	} else {
+		out = reduce(res, memo)
+	}
+	if memo {
+		if ex.subs == nil {
+			ex.subs = make(map[*sqlast.SelectStmt]subOutcome)
+		}
+		ex.subs[sel] = out
+	}
+	return out
+}
+
+func scalarOutcome(res *Result, _ bool) subOutcome {
+	switch {
+	case len(res.Rows) == 0:
+		return subOutcome{val: Null()}
+	case len(res.Columns) != 1:
+		return subOutcome{err: fmt.Errorf("scalar subquery returned %d columns", len(res.Columns))}
+	case len(res.Rows) > 1:
+		return subOutcome{err: fmt.Errorf("scalar subquery returned %d rows", len(res.Rows))}
+	}
+	return subOutcome{val: res.Rows[0][0]}
+}
+
+func existsOutcome(res *Result, _ bool) subOutcome {
+	return subOutcome{val: Bool(len(res.Rows) > 0)}
+}
+
+func inOutcome(res *Result, memo bool) subOutcome {
+	if len(res.Columns) != 1 {
+		return subOutcome{err: fmt.Errorf("IN subquery returned %d columns", len(res.Columns))}
+	}
+	return subOutcome{in: newInSet(res.Rows, memo)}
+}
+
+// inSet is an IN subquery's candidate column. NULL candidates only set
+// sawNull: they never equal the probe. A memoized set that will be probed
+// once per outer row also gets a hash index under the hash join's rule:
+// Compare equality is not transitive across types, so the index exists
+// only when the non-NULL candidates are all numbers (no NaN) or all text,
+// and only probes of that same domain use it. Everything else — a mixed
+// or Bool domain, a Text probe of a numeric set, a NaN — scans the column
+// with Compare, exactly as the per-row path does.
+type inSet struct {
+	vals    []Value
+	sawNull bool
+	numeric bool
+	hash    map[joinKey]struct{}
+}
+
+func newInSet(rows [][]Value, index bool) *inSet {
+	s := &inSet{vals: make([]Value, 0, len(rows))}
+	for _, row := range rows {
+		if row[0].IsNull() {
+			s.sawNull = true
+			continue
+		}
+		s.vals = append(s.vals, row[0])
+	}
+	if !index || len(s.vals) == 0 {
+		return s
+	}
+	s.numeric = s.vals[0].T != TypeText
+	for _, c := range s.vals {
+		if !s.hashable(c) {
+			return s
+		}
+	}
+	s.hash = make(map[joinKey]struct{}, len(s.vals))
+	for _, c := range s.vals {
+		s.hash[makeJoinKey(c, s.numeric)] = struct{}{}
+	}
+	return s
+}
+
+// hashable reports whether v belongs to the set's hash domain.
+func (s *inSet) hashable(v Value) bool {
+	switch v.T {
+	case TypeInt:
+		return s.numeric
+	case TypeFloat:
+		return s.numeric && !math.IsNaN(v.F())
+	case TypeText:
+		return !s.numeric
+	}
+	return false
+}
+
+// contains reports whether the non-NULL probe v equals any candidate.
+func (s *inSet) contains(v Value) bool {
+	if s.hash != nil && s.hashable(v) {
+		_, ok := s.hash[makeJoinKey(v, s.numeric)]
+		return ok
+	}
+	for _, c := range s.vals {
+		if Compare(v, c) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // like matches s against a LIKE pattern, memoizing the lowered pattern so a
@@ -1236,8 +1355,8 @@ func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Val
 			}
 			return args[0], nil
 		case TypeFloat:
-			if args[0].F < 0 {
-				return Float(-args[0].F), nil
+			if args[0].F() < 0 {
+				return Float(-args[0].F()), nil
 			}
 			return args[0], nil
 		}
@@ -1370,33 +1489,44 @@ func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, 
 		}
 		res.Ordered = true
 	}
-	// LIMIT / OFFSET.
-	if sel.Limit != nil {
-		lim, err := ex.eval(sel.Limit, &rowEnv{outer: outer}, nil)
-		if err != nil {
-			return nil, err
-		}
-		off := int64(0)
-		if sel.Offset != nil {
-			ov, err := ex.eval(sel.Offset, &rowEnv{outer: outer}, nil)
-			if err != nil {
-				return nil, err
-			}
-			off = ov.I
-		}
-		n, _ := lim.AsFloat()
-		limit := int(n)
-		start := int(off)
-		if start > len(res.Rows) {
-			start = len(res.Rows)
-		}
-		end := start + limit
-		if limit < 0 || end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		res.Rows = res.Rows[start:end]
+	if err := ex.limitRows(sel, res, outer); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// limitRows applies sel's LIMIT/OFFSET to res. Both evaluate in an empty
+// scope chained to outer. A non-INT OFFSET skips nothing.
+func (ex *Executor) limitRows(sel *sqlast.SelectStmt, res *Result, outer *rowEnv) error {
+	if sel.Limit == nil {
+		return nil
+	}
+	lim, err := ex.eval(sel.Limit, &rowEnv{outer: outer}, nil)
+	if err != nil {
+		return err
+	}
+	off := int64(0)
+	if sel.Offset != nil {
+		ov, err := ex.eval(sel.Offset, &rowEnv{outer: outer}, nil)
+		if err != nil {
+			return err
+		}
+		if ov.T == TypeInt {
+			off = ov.I
+		}
+	}
+	n, _ := lim.AsFloat()
+	limit := int(n)
+	start := int(off)
+	if start > len(res.Rows) {
+		start = len(res.Rows)
+	}
+	end := start + limit
+	if limit < 0 || end > len(res.Rows) {
+		end = len(res.Rows)
+	}
+	res.Rows = res.Rows[start:end]
+	return nil
 }
 
 func combineSetOp(op sqlast.SetOp, a, b [][]Value) [][]Value {

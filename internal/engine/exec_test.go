@@ -88,7 +88,7 @@ func TestAggregates(t *testing.T) {
 	if row[0].I != 25 || row[1].I != 52 {
 		t.Errorf("min/max: %v", row)
 	}
-	if row[2].F != 37 {
+	if row[2].F() != 37 {
 		t.Errorf("avg: %v", row[2])
 	}
 	if row[3].I != 222 {
@@ -271,7 +271,7 @@ func TestArithmetic(t *testing.T) {
 	if row[0].I != 62 || row[1].I != 104 || row[2].I != 47 {
 		t.Errorf("got %v", row)
 	}
-	if row[3].F != 26 {
+	if row[3].F() != 26 {
 		t.Errorf("division: %v", row[3])
 	}
 }
@@ -352,7 +352,7 @@ INSERT INTO t VALUES (1, 10), (2, NULL), (3, 30);`); err != nil {
 		t.Errorf("COUNT skips NULL: %v", res.Rows[0])
 	}
 	res, _ = ex.Query("SELECT AVG(v) FROM t")
-	if res.Rows[0][0].F != 20 {
+	if res.Rows[0][0].F() != 20 {
 		t.Errorf("AVG skips NULL: %v", res.Rows[0][0])
 	}
 	// NOT IN with NULL in the list yields no rows (three-valued logic).
@@ -387,5 +387,10 @@ func TestLimitOffset(t *testing.T) {
 	res := mustQuery(t, testDB(t), "SELECT id FROM singer ORDER BY id ASC LIMIT 2 OFFSET 3")
 	if len(res.Rows) != 2 || res.Rows[0][0].I != 4 || res.Rows[1][0].I != 5 {
 		t.Fatalf("got %v", res.Rows)
+	}
+	// A REAL offset skips nothing: only an INT's I is an integer.
+	res = mustQuery(t, testDB(t), "SELECT id FROM singer ORDER BY id ASC LIMIT 2 OFFSET 1.5")
+	if len(res.Rows) != 2 || res.Rows[0][0].I != 1 || res.Rows[1][0].I != 2 {
+		t.Fatalf("REAL offset: got %v", res.Rows)
 	}
 }

@@ -9,6 +9,7 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"fisql/internal/dataset/aep"
 	"fisql/internal/dataset/spider"
 	"fisql/internal/engine"
+	"fisql/internal/sqlparse"
 )
 
 // fuzzWorld lazily builds both corpora's databases once per process; fuzz
@@ -60,6 +62,10 @@ func fuzzSetup() error {
 		if fuzzWorld.err != nil {
 			return
 		}
+		fuzzWorld.dbs["subq"] = subqueryDB()
+		for _, q := range subquerySeeds {
+			fuzzWorld.seeds = append(fuzzWorld.seeds, [2]string{"subq", q})
+		}
 		// A row-scaled corpus variant, so the differential also runs where
 		// the columnar kernels process real batch sizes. Seeded with the
 		// scan/filter/aggregate shapes the vectorized path specializes.
@@ -87,8 +93,111 @@ func fuzzSetup() error {
 				}
 			}
 		}
+		// The uncorrelated subquery shapes that dominate execution at scale.
+		fuzzWorld.seeds = append(fuzzWorld.seeds,
+			[2]string{"scaled10:experience_platform", "SELECT segment_name FROM hkg_dim_segment WHERE segment_id NOT IN (SELECT segment_id FROM hkg_fact_activation)"},
+			[2]string{"scaled10:experience_platform", "SELECT COUNT(*) FROM hkg_fact_activation WHERE segment_id IN (SELECT segment_id FROM hkg_dim_segment WHERE profile_count > 1000)"},
+			[2]string{"scaled10:experience_platform", "SELECT segment_name FROM hkg_dim_segment WHERE profile_count = (SELECT MIN(profile_count) FROM hkg_dim_segment) OR EXISTS (SELECT 1 FROM hkg_dim_destination WHERE monthly_quota < 0)"},
+		)
 	})
 	return fuzzWorld.err
+}
+
+// subqueryDB is a small database for subquery shapes the corpora lack:
+// NULL candidates, candidate columns mixing Int, Float, Text and Bool
+// (Compare equality is not transitive across them), a Text probe of a
+// numeric column, NaN, and an empty table.
+func subqueryDB() *engine.Database {
+	db := engine.NewDatabase("subq")
+	i, f, s, b, null := engine.Int, engine.Float, engine.Text, engine.Bool, engine.Null()
+	db.AddTable(&engine.Table{
+		Name: "items",
+		Columns: []engine.Column{{Name: "id", Type: engine.TypeInt}, {Name: "grp", Type: engine.TypeText},
+			{Name: "val", Type: engine.TypeInt}, {Name: "score", Type: engine.TypeFloat},
+			{Name: "label", Type: engine.TypeText}, {Name: "flag", Type: engine.TypeBool}},
+		Rows: [][]engine.Value{
+			{i(1), s("a"), i(5), f(5), s("5"), b(true)},
+			{i(2), s("a"), i(1), f(0), s("true"), b(false)},
+			{i(3), s("b"), i(7), f(2.5), s("x"), b(true)},
+			{i(4), s("b"), null, f(-1), s("X"), null},
+			{i(5), s("c"), i(0), null, null, b(false)},
+			{i(6), s("c"), i(7), f(7), s("7"), b(true)},
+		},
+	})
+	db.AddTable(&engine.Table{
+		Name: "cands",
+		Columns: []engine.Column{{Name: "k", Type: engine.TypeText}, {Name: "mixed", Type: engine.TypeText},
+			{Name: "num", Type: engine.TypeInt}, {Name: "txt", Type: engine.TypeText}},
+		Rows: [][]engine.Value{
+			{s("a"), s("5"), i(5), s("x")},
+			{s("a"), b(true), f(2.5), s("7")},
+			{s("b"), null, null, null},
+			{s("b"), i(0), f(math.Copysign(0, -1)), s("true")},
+			{s("c"), f(2.5), i(7), s("5")},
+		},
+	})
+	// Compare treats NaN as equal to every number, which no hash key can.
+	db.AddTable(&engine.Table{
+		Name:    "nans",
+		Columns: []engine.Column{{Name: "x", Type: engine.TypeFloat}},
+		Rows:    [][]engine.Value{{f(math.NaN())}, {f(2.5)}},
+	})
+	db.AddTable(&engine.Table{Name: "empty_t", Columns: []engine.Column{{Name: "a", Type: engine.TypeInt}}})
+	return db
+}
+
+// subquerySeeds cover every subquery shape the executor memoizes, and the
+// correlated ones it must keep evaluating per row, on subqueryDB.
+var subquerySeeds = []string{
+	// Scalar MIN/MAX, an empty subquery (NULL) and a multi-row one (error).
+	"SELECT id FROM items WHERE val = (SELECT MAX(val) FROM items)",
+	"SELECT id FROM items WHERE score > (SELECT MIN(score) FROM items) ORDER BY id",
+	"SELECT id, (SELECT MAX(num) FROM cands) FROM items",
+	"SELECT id FROM items WHERE val = (SELECT val FROM items WHERE id < 0)",
+	"SELECT id, (SELECT val FROM items WHERE id < 0) FROM items",
+	"SELECT id FROM items WHERE val = (SELECT val FROM items)",
+	"SELECT id FROM items WHERE val = (SELECT id, val FROM items WHERE id = 1)",
+	"SELECT grp, COUNT(*) FROM items GROUP BY grp HAVING COUNT(*) >= (SELECT MIN(val) FROM items WHERE val > 0)",
+	// EXISTS and NOT EXISTS.
+	"SELECT id FROM items WHERE EXISTS (SELECT 1 FROM cands WHERE num IS NULL)",
+	"SELECT id FROM items WHERE NOT EXISTS (SELECT 1 FROM cands WHERE num > 100)",
+	"SELECT id FROM items WHERE NOT EXISTS (SELECT 1 FROM cands) OR val > 5",
+	// [NOT] IN with NULL candidates.
+	"SELECT id FROM items WHERE val IN (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE val NOT IN (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE val NOT IN (SELECT num FROM cands WHERE num IS NOT NULL)",
+	"SELECT id, val IN (SELECT num FROM cands), val NOT IN (SELECT num FROM cands WHERE k = 'b') FROM items",
+	"SELECT id FROM items WHERE id IN (SELECT num FROM cands WHERE k = 'z')",
+	// Mixed-type candidates: Text '5' against Int 5, Bool, Float, -0.0.
+	"SELECT id FROM items WHERE val IN (SELECT mixed FROM cands)",
+	"SELECT id FROM items WHERE label IN (SELECT mixed FROM cands)",
+	"SELECT id FROM items WHERE flag IN (SELECT mixed FROM cands)",
+	"SELECT id FROM items WHERE score IN (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE label IN (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE flag IN (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE val IN (SELECT txt FROM cands)",
+	"SELECT id FROM items WHERE label NOT IN (SELECT txt FROM cands WHERE txt IS NOT NULL)",
+	"SELECT id FROM items WHERE flag NOT IN (SELECT txt FROM cands WHERE txt IS NOT NULL)",
+	"SELECT id FROM items WHERE val IN (SELECT num FROM cands UNION ALL SELECT txt FROM cands)",
+	"SELECT id FROM items WHERE val IN (SELECT k, num FROM cands)",
+	"SELECT id FROM items WHERE val IN (SELECT x FROM nans)",
+	"SELECT x FROM nans WHERE x IN (SELECT num FROM cands WHERE k = 'c')",
+	// Correlated: per outer row, also beside an uncorrelated one.
+	"SELECT id FROM items WHERE val IN (SELECT num FROM cands WHERE cands.k = items.grp)",
+	"SELECT id FROM items WHERE EXISTS (SELECT 1 FROM cands WHERE k = grp AND num > (SELECT MIN(val) FROM items))",
+	"SELECT id, (SELECT MAX(num) FROM cands WHERE k = items.grp) FROM items",
+	"SELECT id FROM items WHERE id IN (SELECT num FROM cands LIMIT items.id)",
+	// A subquery that refers to its grand-outer scope.
+	"SELECT id FROM items WHERE EXISTS (SELECT 1 FROM cands WHERE EXISTS (SELECT 1 FROM cands AS c2 WHERE c2.num = items.val))",
+	"SELECT id FROM items AS o WHERE 0 < (SELECT COUNT(*) FROM cands WHERE num IN (SELECT val FROM items WHERE id = o.id))",
+	// Erroring uncorrelated subqueries: never run over an empty outer
+	// table, and raised with unchanged text over a non-empty one.
+	"SELECT a FROM empty_t WHERE a = (SELECT num FROM cands)",
+	"SELECT a FROM empty_t WHERE a IN (SELECT k, num FROM cands)",
+	"SELECT a FROM empty_t WHERE EXISTS (SELECT nope FROM cands)",
+	"SELECT id FROM items WHERE EXISTS (SELECT nope FROM cands)",
+	"SELECT id FROM items WHERE val IS NULL AND val = (SELECT num FROM cands)",
+	"SELECT id FROM items WHERE id > 100 AND val = (SELECT num FROM cands)",
 }
 
 // runRowLeg executes a cached plan on a columnar-disabled executor — the
@@ -117,6 +226,22 @@ func runVecLeg(db *engine.Database, sql string) (*engine.Result, error, bool) {
 	ex := engine.NewExecutor(db)
 	ex.SetColumnarMinRows(0)
 	res, err := ex.Run(p)
+	return res, err, true
+}
+
+// runUnplannedLeg executes sql through the unplanned interpreter (Select):
+// every column reference resolves by name per row and every subquery runs
+// per outer row, so it is the oracle for the planner's slot resolution and
+// for the per-Run memo of uncorrelated subqueries. ok=false means sql does
+// not parse.
+func runUnplannedLeg(db *engine.Database, sql string) (*engine.Result, error, bool) {
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		return nil, nil, false
+	}
+	ex := engine.NewExecutor(db)
+	ex.SetHashJoin(false)
+	res, err := ex.Select(sel)
 	return res, err, true
 }
 
@@ -165,6 +290,9 @@ func FuzzExecPlannedVsDynamic(f *testing.F) {
 			if _, errV, planned := runVecLeg(db, sql); planned && (errV == nil || errV.Error() != err1.Error()) {
 				t.Fatalf("unfloored columnar leg changed the error: %v vs %v\nsql: %q", errV, err1, sql)
 			}
+			if _, errU, parsed := runUnplannedLeg(db, sql); parsed && (errU == nil || errU.Error() != err1.Error()) {
+				t.Fatalf("unplanned leg changed the error: %v vs %v\nsql: %q", errU, err1, sql)
+			}
 			return
 		}
 		if err2 != nil {
@@ -189,6 +317,11 @@ func FuzzExecPlannedVsDynamic(f *testing.F) {
 		if planned && !reflect.DeepEqual(vec, planned1) {
 			t.Fatalf("unfloored columnar leg diverged (err=%v)\nvec: %+v\nref: %+v\nsql: %q", errV, vec, planned1, sql)
 		}
+		// Fifth leg: the unplanned interpreter, per-row subqueries included.
+		unplanned, errU, parsed := runUnplannedLeg(db, sql)
+		if parsed && !reflect.DeepEqual(unplanned, planned1) {
+			t.Fatalf("unplanned leg diverged (err=%v)\nunplanned: %+v\nplanned:   %+v\nsql: %q", errU, unplanned, planned1, sql)
+		}
 	})
 }
 
@@ -210,6 +343,7 @@ func TestFuzzSeedCorpus(t *testing.T) {
 		dynamic, errD := ex.Query(s[1])
 		row, errR, hasPlan := runRowLeg(db, s[1])
 		vec, errV, hasVec := runVecLeg(db, s[1])
+		unplanned, errU, parsed := runUnplannedLeg(db, s[1])
 		switch {
 		case (errP == nil) != (errD == nil):
 			t.Errorf("%s: planned err=%v dynamic err=%v\nsql: %q", s[0], errP, errD, s[1])
@@ -223,12 +357,17 @@ func TestFuzzSeedCorpus(t *testing.T) {
 			if hasVec && (errV == nil || errV.Error() != errP.Error()) {
 				t.Errorf("%s: unfloored columnar error diverged: %v vs %v\nsql: %q", s[0], errV, errP, s[1])
 			}
+			if parsed && (errU == nil || errU.Error() != errP.Error()) {
+				t.Errorf("%s: unplanned error diverged: %v vs %v\nsql: %q", s[0], errU, errP, s[1])
+			}
 		case !reflect.DeepEqual(planned, dynamic):
 			t.Errorf("%s: results diverged for %q", s[0], strings.TrimSpace(s[1]))
 		case hasPlan && !reflect.DeepEqual(row, planned):
 			t.Errorf("%s: columnar-off leg diverged (err=%v) for %q", s[0], errR, strings.TrimSpace(s[1]))
 		case hasVec && !reflect.DeepEqual(vec, planned):
 			t.Errorf("%s: unfloored columnar leg diverged (err=%v) for %q", s[0], errV, strings.TrimSpace(s[1]))
+		case parsed && !reflect.DeepEqual(unplanned, planned):
+			t.Errorf("%s: unplanned leg diverged (err=%v) for %q", s[0], errU, strings.TrimSpace(s[1]))
 		}
 	}
 }

@@ -23,6 +23,15 @@ import (
 // evaluated) at exactly the moment the seed interpreter would. This keeps
 // planned execution result-identical to interpretation while still reporting
 // unknown/ambiguous columns before execution via Plan.Diagnostics.
+//
+// The same walk classifies every subquery expression (scalar, EXISTS and
+// IN) as correlated or not. A subquery is uncorrelated when every column
+// reference inside it resolves statically to a scope inside the subquery;
+// the executor then evaluates it once per Run instead of once per outer row.
+// The rule is conservative: a reference that resolves to an enclosing scope,
+// stays unresolved (its dynamic lookup may reach any scope), or sits under a
+// compound ORDER BY the planner skips makes every subquery it sits in count
+// as correlated.
 
 // colSlot addresses one column value inside a rowEnv chain: walk `depth`
 // levels up the outer chain, then index bindings[binding].vals[col].
@@ -50,6 +59,10 @@ type Plan struct {
 	db    *Database
 	cols  map[*sqlast.ColumnRef]colSlot
 	diags []string
+
+	// uncorrelated holds the subquery statements (SubqueryExpr, ExistsExpr
+	// and InExpr.Sub) whose result does not depend on the outer row.
+	uncorrelated map[*sqlast.SelectStmt]bool
 
 	// vec lazily caches the statement's columnar qualification (see vec.go):
 	// built on first Run, shared by every executor running this plan. The
@@ -83,7 +96,7 @@ func Prepare(db *Database, sql string) (*Plan, error) {
 func PlanSelect(db *Database, sel *sqlast.SelectStmt) *Plan {
 	pl := &planner{db: db, cols: make(map[*sqlast.ColumnRef]colSlot)}
 	pl.selectStmt(sel, nil)
-	return &Plan{Stmt: sel, db: db, cols: pl.cols, diags: pl.diags}
+	return &Plan{Stmt: sel, db: db, cols: pl.cols, diags: pl.diags, uncorrelated: pl.uncorrelated}
 }
 
 // ----------------------------------------------------------------------------
@@ -98,19 +111,68 @@ type planBinding struct {
 	opaque bool
 }
 
-// planScope mirrors the binding structure of a rowEnv at plan time.
+// planScope mirrors the binding structure of a rowEnv at plan time. level
+// is the scope's position in its chain (1 for a top-level scope), so a
+// scope with a level at or below a subquery's boundary lies outside it.
 type planScope struct {
 	bindings []planBinding
 	outer    *planScope
+	level    int
+}
+
+func newScope(outer *planScope) *planScope {
+	return &planScope{outer: outer, level: outer.levelOf() + 1}
+}
+
+func (s *planScope) levelOf() int {
+	if s == nil {
+		return 0
+	}
+	return s.level
+}
+
+// openSub is a subquery expression being planned: boundary is the level of
+// the scope enclosing it.
+type openSub struct {
+	boundary   int
+	correlated bool
 }
 
 type planner struct {
-	db    *Database
-	cols  map[*sqlast.ColumnRef]colSlot
-	diags []string
+	db           *Database
+	cols         map[*sqlast.ColumnRef]colSlot
+	diags        []string
+	open         []openSub
+	uncorrelated map[*sqlast.SelectStmt]bool
 }
 
 func (p *planner) diag(msg string) { p.diags = append(p.diags, msg) }
+
+// reach records a reference that reads the scope at the given level: every
+// open subquery that scope lies outside of is correlated. Level 0 stands
+// for an unresolved reference, which may read any scope.
+func (p *planner) reach(level int) {
+	for i := range p.open {
+		if level <= p.open[i].boundary {
+			p.open[i].correlated = true
+		}
+	}
+}
+
+// subquery plans a subquery expression and records it as uncorrelated when
+// no reference inside it reached past outer.
+func (p *planner) subquery(sel *sqlast.SelectStmt, outer *planScope) {
+	p.open = append(p.open, openSub{boundary: outer.levelOf()})
+	p.selectStmt(sel, outer)
+	top := p.open[len(p.open)-1]
+	p.open = p.open[:len(p.open)-1]
+	if !top.correlated {
+		if p.uncorrelated == nil {
+			p.uncorrelated = make(map[*sqlast.SelectStmt]bool)
+		}
+		p.uncorrelated[sel] = true
+	}
+}
 
 // selectStmt plans a full SELECT including compound arms, ORDER BY and
 // LIMIT/OFFSET. outer is the enclosing query's scope (nil at top level).
@@ -129,10 +191,12 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 		for _, ob := range sel.OrderBy {
 			p.expr(ob.Expr, scope, false)
 		}
+	} else if len(sel.OrderBy) > 0 {
+		p.reach(0)
 	}
 	// LIMIT/OFFSET evaluate in an empty scope chained to outer
 	// (execSelect uses &rowEnv{outer: outer}).
-	limitScope := &planScope{outer: outer}
+	limitScope := newScope(outer)
 	p.expr(sel.Limit, limitScope, false)
 	p.expr(sel.Offset, limitScope, false)
 }
@@ -140,7 +204,7 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 // selectCore plans one SELECT arm (FROM/WHERE/GROUP BY/HAVING/items) and
 // returns its row scope.
 func (p *planner) selectCore(sel *sqlast.SelectStmt, outer *planScope) *planScope {
-	scope := &planScope{outer: outer}
+	scope := newScope(outer)
 	if sel.From != nil {
 		scope.bindings = append(scope.bindings, p.sourceBinding(sel.From.First, outer))
 		for i := range sel.From.Joins {
@@ -298,7 +362,7 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 			p.expr(v, scope, strict)
 		}
 		if x.Sub != nil {
-			p.selectStmt(x.Sub, scope)
+			p.subquery(x.Sub, scope)
 		}
 	case *sqlast.BetweenExpr:
 		p.expr(x.X, scope, strict)
@@ -310,9 +374,9 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 	case *sqlast.IsNullExpr:
 		p.expr(x.X, scope, strict)
 	case *sqlast.ExistsExpr:
-		p.selectStmt(x.Sub, scope)
+		p.subquery(x.Sub, scope)
 	case *sqlast.SubqueryExpr:
-		p.selectStmt(x.Sub, scope)
+		p.subquery(x.Sub, scope)
 	case *sqlast.CaseExpr:
 		for _, w := range x.Whens {
 			p.expr(w.When, scope, strict)
@@ -322,39 +386,45 @@ func (p *planner) expr(e sqlast.Expr, scope *planScope, strict bool) {
 	}
 }
 
-// resolve mirrors rowEnv.lookup structurally: same scope walk, same
+// resolve records x's slot, and the scope it reads, for every open
+// subquery; an unresolved reference counts as reaching every scope.
+func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
+	slot, ok := p.slot(x, scope, strict)
+	if !ok {
+		p.reach(0)
+		return
+	}
+	p.cols[x] = slot
+	p.reach(scope.level - slot.depth)
+}
+
+// slot mirrors rowEnv.lookup structurally: same scope walk, same
 // first-alias-match rule for qualified references, same cross-binding
 // ambiguity rule for bare ones. Anything it cannot decide statically (an
 // opaque binding in the way) is left to the dynamic path with no diagnostic.
-func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
+func (p *planner) slot(x *sqlast.ColumnRef, scope *planScope, strict bool) (colSlot, bool) {
 	depth := 0
 	for s := scope; s != nil; s, depth = s.outer, depth+1 {
 		if x.Table != "" {
 			want := strings.ToLower(x.Table)
-			aliasFound := false
 			for bi := range s.bindings {
 				b := &s.bindings[bi]
 				if b.alias != want {
 					continue
 				}
 				// lookup stops at the first binding answering to the alias.
-				aliasFound = true
 				if b.opaque {
-					return
+					return colSlot{}, false
 				}
 				for ci, c := range b.cols {
 					if strings.EqualFold(c, x.Column) {
-						p.cols[x] = colSlot{depth: depth, binding: bi, col: ci}
-						return
+						return colSlot{depth: depth, binding: bi, col: ci}, true
 					}
 				}
 				if strict {
 					p.diag(fmt.Sprintf("column %s.%s not found", x.Table, x.Column))
 				}
-				return
-			}
-			if aliasFound {
-				return
+				return colSlot{}, false
 			}
 			continue // alias might belong to an outer scope
 		}
@@ -380,16 +450,15 @@ func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
 			if strict {
 				p.diag(fmt.Sprintf("ambiguous column %q", x.Column))
 			}
-			return
+			return colSlot{}, false
 		}
 		if hasOpaque {
 			// The opaque binding may hold the column too (ambiguity) or hold
 			// it when nothing else does; either way only runtime can tell.
-			return
+			return colSlot{}, false
 		}
 		if count == 1 {
-			p.cols[x] = slot
-			return
+			return slot, true
 		}
 		// Not present in this scope; fall through to the outer one.
 	}
@@ -400,4 +469,5 @@ func (p *planner) resolve(x *sqlast.ColumnRef, scope *planScope, strict bool) {
 			p.diag(fmt.Sprintf("unknown column %q", x.Column))
 		}
 	}
+	return colSlot{}, false
 }

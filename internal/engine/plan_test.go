@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fisql/internal/sqlast"
 	"fisql/internal/sqlparse"
 )
 
@@ -254,4 +255,82 @@ func TestPlanCorrelatedDepth(t *testing.T) {
 	db := testDB(t)
 	runBothWays(t, db,
 		"SELECT name FROM singer WHERE age > (SELECT AVG(age) FROM singer AS s2 WHERE s2.country = singer.country)")
+}
+
+// TestPlanMarksUncorrelatedSubqueries pins which subquery statements the
+// planner marks uncorrelated. want lists the subquery expressions (scalar,
+// EXISTS, IN) in sqlast.WalkSelect order, outer before inner.
+func TestPlanMarksUncorrelatedSubqueries(t *testing.T) {
+	db := testDB(t)
+	cases := []struct {
+		name string
+		sql  string
+		want []bool
+	}{
+		{"scalar max", "SELECT name FROM singer WHERE age = (SELECT MAX(age) FROM singer)", []bool{true}},
+		{"select item", "SELECT name, (SELECT COUNT(*) FROM concert) FROM singer", []bool{true}},
+		{"not in", "SELECT name FROM singer WHERE id NOT IN (SELECT singer_id FROM singer_in_concert)", []bool{true}},
+		{"outer ref in where",
+			"SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM singer_in_concert WHERE singer_id = singer.id)",
+			[]bool{false}},
+		{"outer ref in limit",
+			"SELECT name FROM singer AS s WHERE id IN (SELECT singer_id FROM singer_in_concert LIMIT s.age)",
+			[]bool{false}},
+		{"outer ref two levels down",
+			"SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM concert WHERE concert_id IN " +
+				"(SELECT concert_id FROM singer_in_concert WHERE singer_id = singer.id))",
+			[]bool{false, false}},
+		{"ref to parent subquery only",
+			"SELECT name FROM singer WHERE id IN (SELECT singer_id FROM singer_in_concert AS sc WHERE EXISTS " +
+				"(SELECT 1 FROM concert AS c WHERE c.concert_id = sc.concert_id))",
+			[]bool{true, false}},
+		{"outer ref in derived table",
+			"SELECT name FROM singer WHERE 0 < (SELECT COUNT(*) FROM (SELECT * FROM concert WHERE stadium_id = singer.id) AS d)",
+			[]bool{false}},
+		{"unresolved column", "SELECT name FROM singer WHERE age = (SELECT MAX(nope) FROM concert)", []bool{false}},
+		{"opaque derived binding",
+			"SELECT name FROM singer WHERE id IN (SELECT id FROM (SELECT s.* FROM singer AS s) AS d)",
+			[]bool{false}},
+		{"lenient order by unresolved",
+			"SELECT name FROM singer WHERE id = (SELECT singer_id FROM singer_in_concert ORDER BY cnt LIMIT 1)",
+			[]bool{false}},
+		{"order by resolved",
+			"SELECT name FROM singer WHERE id = (SELECT singer_id FROM singer_in_concert ORDER BY concert_id LIMIT 1)",
+			[]bool{true}},
+		{"compound", "SELECT name FROM singer WHERE name IN (SELECT name FROM singer UNION SELECT concert_name FROM concert)",
+			[]bool{true}},
+		{"compound plus order by",
+			"SELECT name FROM singer WHERE name IN (SELECT name FROM singer UNION SELECT concert_name FROM concert ORDER BY name)",
+			[]bool{false}},
+		{"uncorrelated inside correlated",
+			"SELECT name FROM singer WHERE EXISTS (SELECT 1 FROM singer_in_concert AS sc WHERE sc.singer_id = singer.id " +
+				"AND sc.concert_id = (SELECT MAX(concert_id) FROM concert))",
+			[]bool{false, true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Prepare(db, c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []bool
+			sqlast.WalkSelect(p.Stmt, func(e sqlast.Expr) bool {
+				switch x := e.(type) {
+				case *sqlast.SubqueryExpr:
+					got = append(got, p.uncorrelated[x.Sub])
+				case *sqlast.ExistsExpr:
+					got = append(got, p.uncorrelated[x.Sub])
+				case *sqlast.InExpr:
+					if x.Sub != nil {
+						got = append(got, p.uncorrelated[x.Sub])
+					}
+				}
+				return true
+			})
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("uncorrelated = %v, want %v", got, c.want)
+			}
+			runBothWays(t, db, c.sql)
+		})
+	}
 }

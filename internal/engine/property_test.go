@@ -131,7 +131,7 @@ func TestPropertyMinMaxWithinRange(t *testing.T) {
 		if Compare(mn, mx) > 0 {
 			t.Fatalf("trial %d: MIN %v > MAX %v", trial, mn, mx)
 		}
-		if avg.F < float64(mn.I) || avg.F > float64(mx.I) {
+		if avg.F() < float64(mn.I) || avg.F() > float64(mx.I) {
 			t.Fatalf("trial %d: AVG %v outside [%v, %v]", trial, avg, mn, mx)
 		}
 	}
@@ -215,6 +215,55 @@ func TestPropertyJoinCardinality(t *testing.T) {
 		}
 		if inner > left {
 			t.Fatalf("trial %d: INNER %d > LEFT %d", trial, inner, left)
+		}
+	}
+}
+
+// TestPropertyUncorrelatedSubqueryMatchesCorrelated: an uncorrelated IN or
+// scalar-MAX subquery (evaluated once per query) selects exactly the rows of
+// its correlated EXISTS rewrite (evaluated per outer row), and each form
+// agrees with the unplanned interpreter. IN and NOT IN partition the table
+// when the candidates hold no NULL.
+func TestPropertyUncorrelatedSubqueryMatchesCorrelated(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	groups := []string{"a", "b", "c", "d"}
+	ids := func(res *Result) []int64 {
+		out := make([]int64, len(res.Rows))
+		for i, r := range res.Rows {
+			out[i] = r[0].I
+		}
+		return out
+	}
+	for trial := 0; trial < 20; trial++ {
+		db := randomDB(rng, 20+rng.Intn(60))
+		g := groups[rng.Intn(len(groups))]
+		pairs := [][2]string{
+			{fmt.Sprintf("SELECT id FROM items WHERE val IN (SELECT val FROM items WHERE grp = '%s')", g),
+				fmt.Sprintf("SELECT id FROM items WHERE EXISTS (SELECT 1 FROM items AS i2 WHERE i2.grp = '%s' AND i2.val = items.val)", g)},
+			{fmt.Sprintf("SELECT id FROM items WHERE score IN (SELECT val FROM items WHERE grp = '%s')", g),
+				fmt.Sprintf("SELECT id FROM items WHERE EXISTS (SELECT 1 FROM items AS i2 WHERE i2.grp = '%s' AND i2.val = items.score)", g)},
+			{fmt.Sprintf("SELECT id FROM items WHERE val = (SELECT MAX(val) FROM items WHERE grp = '%s')", g),
+				fmt.Sprintf("SELECT id FROM items WHERE EXISTS (SELECT 1 FROM items AS i2 WHERE i2.grp = '%s' AND i2.val = items.val) "+
+					"AND NOT EXISTS (SELECT 1 FROM items AS i2 WHERE i2.grp = '%s' AND i2.val > items.val)", g, g)},
+		}
+		for _, pq := range pairs {
+			memo, err := runBothWays(t, db, pq[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			perRow, err := runBothWays(t, db, pq[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(ids(memo)) != fmt.Sprint(ids(perRow)) {
+				t.Fatalf("trial %d: %q selected %v, its correlated rewrite %v", trial, pq[0], ids(memo), ids(perRow))
+			}
+		}
+		in, _ := runBothWays(t, db, fmt.Sprintf("SELECT id FROM items WHERE val IN (SELECT val FROM items WHERE grp = '%s')", g))
+		notIn, _ := runBothWays(t, db, fmt.Sprintf("SELECT id FROM items WHERE val NOT IN (SELECT val FROM items WHERE grp = '%s')", g))
+		all := count(t, NewExecutor(db), "SELECT id FROM items")
+		if len(in.Rows)+len(notIn.Rows) != all {
+			t.Fatalf("trial %d: IN %d + NOT IN %d != %d rows", trial, len(in.Rows), len(notIn.Rows), all)
 		}
 	}
 }

@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -13,7 +14,7 @@ import (
 )
 
 // Type is the dynamic type of a Value.
-type Type int
+type Type uint8
 
 // Value types. Dates are stored as TEXT in ISO form (YYYY-MM-DD), which
 // makes lexicographic comparison agree with chronological order.
@@ -42,12 +43,13 @@ func (t Type) String() string {
 	return "?type?"
 }
 
-// Value is a dynamically typed SQL value.
+// Value is a dynamically typed SQL value, 32 bytes wide. I holds an INT's
+// value or a REAL's IEEE 754 bits (read through F), so every read of I
+// checks T first.
 type Value struct {
-	T Type
-	I int64
-	F float64
 	S string
+	I int64
+	T Type
 	B bool
 }
 
@@ -60,13 +62,21 @@ func Null() Value { return Value{T: TypeNull} }
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
+func Float(f float64) Value { return Value{T: TypeFloat, I: int64(math.Float64bits(f))} }
 
 // Text returns a text value.
 func Text(s string) Value { return Value{T: TypeText, S: s} }
 
 // Bool returns a boolean value.
 func Bool(b bool) Value { return Value{T: TypeBool, B: b} }
+
+// F returns a REAL value's float, and 0 for every other type.
+func (v Value) F() float64 {
+	if v.T != TypeFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.T == TypeNull }
@@ -79,7 +89,7 @@ func (v Value) Truthy() bool {
 	case TypeInt:
 		return v.I != 0
 	case TypeFloat:
-		return v.F != 0
+		return v.F() != 0
 	case TypeText:
 		return v.S != ""
 	}
@@ -92,7 +102,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case TypeInt:
 		return float64(v.I), true
 	case TypeFloat:
-		return v.F, true
+		return v.F(), true
 	}
 	return 0, false
 }
@@ -105,7 +115,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.I, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case TypeText:
 		return v.S
 	case TypeBool:
@@ -132,10 +142,11 @@ func (v Value) appendKey(dst []byte) []byte {
 	case TypeInt:
 		return strconv.AppendInt(append(dst, '#'), v.I, 10)
 	case TypeFloat:
-		if v.F == float64(int64(v.F)) {
-			return strconv.AppendInt(append(dst, '#'), int64(v.F), 10)
+		f := v.F()
+		if f == float64(int64(f)) {
+			return strconv.AppendInt(append(dst, '#'), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(dst, '#'), v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, '#'), f, 'g', -1, 64)
 	case TypeText:
 		return append(append(dst, 's'), v.S...)
 	case TypeBool:
@@ -237,7 +248,7 @@ func (v Value) numeric() (float64, bool) {
 	case TypeInt:
 		return float64(v.I), true
 	case TypeFloat:
-		return v.F, true
+		return v.F(), true
 	case TypeBool:
 		if v.B {
 			return 1, true

@@ -1,10 +1,41 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins Value's 32-byte layout: result rows and table rows are
+// slices of Values, so every byte here is paid once per cell.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("Value is %d bytes, want 32", n)
+	}
+}
+
+// TestFloatPayload: a REAL keeps its exact bits (signed zero, NaN, extremes)
+// and F reads 0 from every other type, whose I is not a float.
+func TestFloatPayload(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 2.5, -1e300, math.Inf(1), math.MaxFloat64} {
+		if got := Float(f).F(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v).F() = %v", f, got)
+		}
+	}
+	if !math.IsNaN(Float(math.NaN()).F()) {
+		t.Error("NaN did not survive the round trip")
+	}
+	for _, v := range []Value{Int(7), Text("7"), Bool(true), Null()} {
+		if v.F() != 0 {
+			t.Errorf("%v.F() = %v, want 0", v, v.F())
+		}
+	}
+	if got := Float(-2.5).String(); got != "-2.5" {
+		t.Errorf("Float(-2.5).String() = %q", got)
+	}
+}
 
 func TestCompareOrdering(t *testing.T) {
 	tests := []struct {
@@ -112,7 +143,7 @@ func TestParseLiteral(t *testing.T) {
 		t.Errorf("int: %v, %v", v, err)
 	}
 	v, err = ParseLiteral("3.5", TypeFloat)
-	if err != nil || v.F != 3.5 {
+	if err != nil || v.F() != 3.5 {
 		t.Errorf("float: %v, %v", v, err)
 	}
 	v, err = ParseLiteral("TRUE", TypeBool)

@@ -527,31 +527,9 @@ func (v *vecExec) run() (*Result, bool) {
 		res.Ordered = true
 	}
 
-	// LIMIT/OFFSET, mirroring execSelect (top level: empty env, no outer).
-	if stmt.Limit != nil {
-		lim, err := v.ex.eval(stmt.Limit, &rowEnv{}, nil)
-		if err != nil {
-			return nil, false
-		}
-		off := int64(0)
-		if stmt.Offset != nil {
-			ov, err := v.ex.eval(stmt.Offset, &rowEnv{}, nil)
-			if err != nil {
-				return nil, false
-			}
-			off = ov.I
-		}
-		n, _ := lim.AsFloat()
-		limit := int(n)
-		start := int(off)
-		if start > len(res.Rows) {
-			start = len(res.Rows)
-		}
-		end := start + limit
-		if limit < 0 || end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		res.Rows = res.Rows[start:end]
+	// LIMIT/OFFSET, the row path's own code (top level: no outer).
+	if err := v.ex.limitRows(stmt, res, nil); err != nil {
+		return nil, false
 	}
 	return res, true
 }

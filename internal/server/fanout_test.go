@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -477,22 +478,84 @@ func TestJSONEventErrorStates(t *testing.T) {
 	}
 }
 
+// followEvents subscribes from the start of the session's topic and reads
+// frames until the stream ends. It reports the subscription's outcome on
+// attached as soon as the response headers arrive (the server subscribes
+// to the topic before it sends them) and counts frames in read, so a test
+// can tell a stream that never attached from one that stopped mid-way. It
+// never calls t: it runs on its own goroutine.
+func followEvents(ctx context.Context, ts *httptest.Server, sid string, attached chan<- error, read *atomic.Int64) ([]sseEvent, error) {
+	resp, err := openEvents(ctx, ts, sid)
+	attached <- err
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out []sseEvent
+	r := bufio.NewReader(resp.Body)
+	for {
+		ev, err := readFrame(r)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, fmt.Errorf("read frame %d: %w", len(out), err)
+		}
+		out = append(out, ev)
+		read.Add(1)
+	}
+}
+
+// openEvents opens the fanout stream from its first event.
+func openEvents(ctx context.Context, ts *httptest.Server, sid string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/sessions/"+sid+"/events", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("subscribe: status %d body %s", resp.StatusCode, body)
+	}
+	return resp, nil
+}
+
 // TestEventsConcurrentFanout hammers one session with concurrent
 // subscribers (attaching at staggered times), a writer driving turns, and
 // subscriber churn, under -race: every subscriber's view must be gap-free
 // and byte-identical to every other's over the common sequence range.
+//
+// Every subscriber must be attached before the session is deleted: one
+// whose request lands after the delete gets a 404 instead of the stream.
+// On a loaded machine a late subscriber goroutine did exactly that, and the
+// test then waited forever for its result. Both waits now have a deadline
+// and fail with each subscriber's progress.
 func TestEventsConcurrentFanout(t *testing.T) {
 	ts := fanoutServer(t, WithPubSubRing(4096))
 	f := factory(t)
 	sid := newTestSession(t, ts)
+	// Cancelling the streams on exit (cleanups run last-registered first)
+	// lets a failed run close the server instead of waiting on them.
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 
 	const subscribers = 6
-	results := make(chan []sseEvent, subscribers)
+	type outcome struct {
+		i      int
+		events []sseEvent
+		err    error
+	}
+	attached := make(chan error, subscribers)
+	results := make(chan outcome, subscribers)
+	var read [subscribers]atomic.Int64
 	for i := 0; i < subscribers; i++ {
 		go func(i int) {
-			resp, r := subscribe(t, ts, sid, 0)
-			defer resp.Body.Close()
-			results <- collectUntilEOF(t, r)
+			events, err := followEvents(ctx, ts, sid, attached, &read[i])
+			results <- outcome{i, events, err}
 		}(i)
 		if i == subscribers/2 {
 			// Stagger: half the subscribers attach mid-run and replay.
@@ -507,24 +570,54 @@ func TestEventsConcurrentFanout(t *testing.T) {
 		askPlain(t, ts, sid, e.Question)
 	}
 	sendFeedback(t, ts, sid, "use a left join instead")
+
+	deadline := time.NewTimer(time.Minute)
+	defer deadline.Stop()
+	progress := func() string {
+		var b strings.Builder
+		for i := range read {
+			fmt.Fprintf(&b, " subscriber %d read %d events;", i, read[i].Load())
+		}
+		return b.String()
+	}
+	for k := 0; k < subscribers; k++ {
+		select {
+		case err := <-attached:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline.C:
+			t.Fatalf("only %d of %d subscribers attached within a minute:%s", k, subscribers, progress())
+		}
+	}
 	deleteSession(t, ts, sid)
 
-	var reference []sseEvent
-	for i := 0; i < subscribers; i++ {
-		got := <-results
-		checkContiguous(t, got, 1, fmt.Sprintf("subscriber %d", i))
-		if got[len(got)-1].name != "delete" {
-			t.Fatalf("subscriber %d did not end with delete: %+v", i, got[len(got)-1])
+	views := make([][]sseEvent, subscribers)
+	for k := 0; k < subscribers; k++ {
+		select {
+		case o := <-results:
+			if o.err != nil {
+				t.Fatalf("subscriber %d: %v", o.i, o.err)
+			}
+			views[o.i] = o.events
+		case <-deadline.C:
+			t.Fatalf("%d of %d streams still open a minute after the last turn (no delete event seen):%s",
+				subscribers-k, subscribers, progress())
 		}
-		if reference == nil {
-			reference = got
-		} else if len(got) != len(reference) {
-			t.Fatalf("subscriber %d saw %d events, reference saw %d", i, len(got), len(reference))
-		} else {
-			for j := range got {
-				if got[j] != reference[j] {
-					t.Fatalf("subscriber %d event %d differs: %+v vs %+v", i, j, got[j], reference[j])
-				}
+	}
+
+	reference := views[0]
+	for i, got := range views {
+		checkContiguous(t, got, 1, fmt.Sprintf("subscriber %d", i))
+		if len(got) == 0 || got[len(got)-1].name != "delete" {
+			t.Fatalf("subscriber %d did not end with delete: %+v", i, got)
+		}
+		if len(got) != len(reference) {
+			t.Fatalf("subscriber %d saw %d events, subscriber 0 saw %d", i, len(got), len(reference))
+		}
+		for j := range got {
+			if got[j] != reference[j] {
+				t.Fatalf("subscriber %d event %d differs: %+v vs %+v", i, j, got[j], reference[j])
 			}
 		}
 	}
