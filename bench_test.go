@@ -666,6 +666,40 @@ func BenchmarkUncorrelatedSubquery(b *testing.B) {
 	}
 }
 
+// BenchmarkScaledOrderGroup times the slowest served shapes of the
+// ten-times-rows corpus once its subqueries run once per query: ORDER BY a
+// column the statement does not select, over 300-710 rows, and GROUP BY
+// over a near-unique key. The sort runs over an int32 permutation with the
+// keys read from the typed column arrays; the groups share one backing
+// array and one flat array of aggregate values.
+func BenchmarkScaledOrderGroup(b *testing.B) {
+	sys, err := NewExperiencePlatformSystemRows(10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := sys.DS.DBs["experience_platform"]
+	for _, c := range []struct{ name, sql string }{
+		{"order-segment", "SELECT segment_status FROM hkg_dim_segment ORDER BY profile_count DESC"},
+		{"order-profile", "SELECT merge_policy FROM hkg_fact_profile ORDER BY identity_count ASC"},
+		{"group-count", "SELECT dataset_name, COUNT(*) FROM hkg_dim_dataset GROUP BY dataset_name"},
+		{"group-having", "SELECT segment_name FROM hkg_dim_segment GROUP BY segment_name HAVING COUNT(*) > 2"},
+	} {
+		p, err := engine.Prepare(db, c.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			ex := engine.NewExecutor(db)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ----------------------------------------------------------------------------
 // Columnar execution benchmarks
 //

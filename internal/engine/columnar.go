@@ -51,6 +51,25 @@ type colData struct {
 // null reports whether row i is NULL in this column.
 func (c *colData) null(i int) bool { return c.nulls != nil && c.nulls[i] }
 
+// compareRows orders rows i and j exactly as Compare orders their values:
+// NULL first, numbers as float64, text by compareFold then bytes. It holds
+// for every kind but kindOther.
+func (c *colData) compareRows(i, j int32) int {
+	if c.nulls != nil && (c.nulls[i] || c.nulls[j]) {
+		switch {
+		case c.nulls[i] && c.nulls[j]:
+			return 0
+		case c.nulls[i]:
+			return -1
+		}
+		return 1
+	}
+	if c.kind == kindString {
+		return cmpText(c.strs[i], c.strs[j])
+	}
+	return cmpFloat(c.nums[i], c.nums[j])
+}
+
 // colTable is the columnar projection of one table at a point in time.
 type colTable struct {
 	t *Table

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -19,9 +19,6 @@ type Executor struct {
 	// intermediate join sizes to guard against accidental cartesian blowups
 	// from generated queries.
 	maxRows int
-	// lastProjected holds the projection context of the most recent
-	// execCore call, consumed immediately by orderRows.
-	lastProjected []projected
 	// plan, when set, supplies resolved column slots so eval can index
 	// binding values directly instead of scanning names per row.
 	plan *Plan
@@ -717,12 +714,14 @@ func (ex *Executor) hashJoin(envs []*rowEnv, j *sqlast.Join, jAlias string, jCol
 // function calls evaluate over these rows instead of erroring.
 type evalCtx struct {
 	group []*rowEnv
-	// aggVals, when non-nil, supplies precomputed per-group aggregate values
-	// keyed by call node. The vectorized path folds aggregates over column
-	// arrays instead of row environments and injects the results here, so
-	// scalar evaluation of HAVING/items/ORDER BY stays the row path's own
-	// code. Nodes absent from the map fall through to the group fold.
-	aggVals map[*sqlast.FuncCall]Value
+	// aggNodes and aggVals, when set, supply precomputed per-group
+	// aggregate values: aggVals[k] is the value of call node aggNodes[k].
+	// The vectorized path folds aggregates over column arrays instead of
+	// row environments and injects the results here, so scalar evaluation
+	// of HAVING/items/ORDER BY stays the row path's own code. Nodes absent
+	// from aggNodes fall through to the group fold.
+	aggNodes []*sqlast.FuncCall
+	aggVals  []Value
 }
 
 func (ex *Executor) evalBool(e sqlast.Expr, env *rowEnv, ctx *evalCtx) (bool, error) {
@@ -1298,9 +1297,11 @@ func hasAggregate(e sqlast.Expr) bool {
 
 func (ex *Executor) evalFunc(x *sqlast.FuncCall, env *rowEnv, ctx *evalCtx) (Value, error) {
 	if isAggregateName(x.Name) {
-		if ctx != nil && ctx.aggVals != nil {
-			if v, ok := ctx.aggVals[x]; ok {
-				return v, nil
+		if ctx != nil {
+			for k, node := range ctx.aggNodes {
+				if node == x {
+					return ctx.aggVals[k], nil
+				}
 			}
 		}
 		if ctx == nil || ctx.group == nil {
@@ -1460,13 +1461,13 @@ func (ex *Executor) evalAggregate(x *sqlast.FuncCall, group []*rowEnv) (Value, e
 // SELECT execution
 
 func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, error) {
-	res, err := ex.execCore(sel, outer)
+	res, proj, err := ex.execCore(sel, outer)
 	if err != nil {
 		return nil, err
 	}
 	// Set operations combine projected row sets.
 	for c := sel.Compound; c != nil; {
-		right, err := ex.execCore(c.Right, outer)
+		right, _, err := ex.execCore(c.Right, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -1476,7 +1477,11 @@ func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, 
 		res.Rows = combineSetOp(c.Op, res.Rows, right.Rows)
 		c = c.Right.Compound
 	}
+	src := orderSrc{env: func(i int) (*rowEnv, *evalCtx) { return proj[i].env, proj[i].ctx }}
 	if sel.Compound != nil {
+		// A compound's rows come from several arms: its ORDER BY resolves
+		// output columns, select-item matches and ordinals only.
+		src = orderSrc{}
 		switch sel.Compound.Op {
 		case sqlast.SetUnion, sqlast.SetIntersect, sqlast.SetExcept:
 			res.Rows = dedupeRows(res.Rows)
@@ -1484,7 +1489,7 @@ func (ex *Executor) execSelect(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, 
 	}
 	// ORDER BY over the final projected rows.
 	if len(sel.OrderBy) > 0 {
-		if err := ex.orderRows(sel, res); err != nil {
+		if err := ex.orderRows(sel, res, src); err != nil {
 			return nil, err
 		}
 		res.Ordered = true
@@ -1588,27 +1593,48 @@ type projected struct {
 	ctx *evalCtx // aggregate context; nil for non-aggregated rows
 }
 
-// execCore runs one SELECT arm (no set ops, no order/limit) and stashes the
-// per-row evaluation context in the result for ORDER BY.
-func (ex *Executor) execCore(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, error) {
+// execCore runs one SELECT arm (no set ops, no order/limit) and returns the
+// per-row evaluation context alongside the result, for ORDER BY.
+func (ex *Executor) execCore(sel *sqlast.SelectStmt, outer *rowEnv) (*Result, []projected, error) {
 	projRows, cols, err := ex.project(sel, outer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{Columns: cols}
 	for _, p := range projRows {
 		res.Rows = append(res.Rows, p.row)
 	}
-	ex.lastProjected = projRows
-	return res, nil
+	return res, projRows, nil
 }
 
-func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result) error {
-	projRows := ex.lastProjected
-	if len(projRows) != len(res.Rows) {
-		// Set operations changed the row set; order on output columns only.
-		projRows = nil
-	}
+// orderSrc tells orderRows where each output row came from, for ORDER BY
+// keys that are not output columns, select-item matches or ordinals. The
+// zero value resolves no such key.
+type orderSrc struct {
+	// env returns output row i's evaluation environment and aggregate
+	// context.
+	env func(i int) (*rowEnv, *evalCtx)
+	// col, when set, returns the typed column that holds a bare column
+	// key's value for output row i at row src[i], or nil to evaluate it.
+	col func(e sqlast.Expr) *colData
+	src []int32
+}
+
+// sortKey is one ORDER BY key over every output row: evaluated values, or
+// a typed column read at each row's source index.
+type sortKey struct {
+	desc bool
+	vals []Value
+	col  *colData
+	src  []int32
+}
+
+// orderRows sorts res.Rows by sel's ORDER BY. Each key is evaluated once
+// into a flat array and an int32 permutation is sorted over them, with the
+// same stable algorithm (and so the same comparison sequence) as
+// sort.SliceStable: rows come out identical even where Compare is not a
+// strict weak order (NaN, mixed types).
+func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result, src orderSrc) error {
 	// Hoist the row-independent work out of the per-row loop: the parsed
 	// ordinal, the bare-column form, and the printed expressions compared
 	// against printed select items are the same for every row.
@@ -1630,37 +1656,70 @@ func (ex *Executor) orderRows(sel *sqlast.SelectStmt, res *Result) error {
 			itemPrints[j] = sqlast.PrintExpr(it.Expr)
 		}
 	}
-	type sortRow struct {
-		row  []Value
-		keys []Value
+	n := len(res.Rows)
+	keys := make([]sortKey, len(specs))
+	for k := range keys {
+		keys[k].desc = sel.OrderBy[k].Desc
+		// A key no output row can resolve is evaluated for every row; a
+		// bare column key may be read from its typed column instead.
+		if src.col != nil && specs[k].outputIndex(sel, res, itemPrints, math.MaxInt) < 0 {
+			if c := src.col(specs[k].expr); c != nil {
+				keys[k].col, keys[k].src = c, src.src
+				continue
+			}
+		}
+		keys[k].vals = make([]Value, n)
 	}
-	rows := make([]sortRow, len(res.Rows))
-	keyStore := make([]Value, len(res.Rows)*len(sel.OrderBy))
 	for i, r := range res.Rows {
-		rows[i].row = r
-		rows[i].keys = keyStore[i*len(sel.OrderBy) : (i+1)*len(sel.OrderBy)]
-		for k := range sel.OrderBy {
-			v, err := ex.orderKey(&specs[k], sel, res, itemPrints, r, projRows, i)
+		var env *rowEnv
+		var ctx *evalCtx
+		for k := range keys {
+			if keys[k].col != nil {
+				continue
+			}
+			sp := &specs[k]
+			if j := sp.outputIndex(sel, res, itemPrints, len(r)); j >= 0 {
+				keys[k].vals[i] = r[j]
+				continue
+			}
+			if src.env == nil {
+				return fmt.Errorf("cannot resolve ORDER BY expression %s", sp.want)
+			}
+			if env == nil {
+				env, ctx = src.env(i)
+			}
+			v, err := ex.eval(sp.expr, env, ctx)
 			if err != nil {
 				return err
 			}
-			rows[i].keys[k] = v
+			keys[k].vals[i] = v
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, ob := range sel.OrderBy {
-			c := Compare(rows[i].keys[k], rows[j].keys[k])
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		for k := range keys {
+			key := &keys[k]
+			var c int
+			if key.col != nil {
+				c = key.col.compareRows(key.src[a], key.src[b])
+			} else {
+				c = Compare(key.vals[a], key.vals[b])
+			}
 			if c != 0 {
-				if ob.Desc {
-					return c > 0
+				if key.desc {
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	for i := range rows {
-		res.Rows[i] = rows[i].row
+	rows := slices.Clone(res.Rows)
+	for i, p := range perm {
+		res.Rows[i] = rows[p]
 	}
 	return nil
 }
@@ -1674,32 +1733,29 @@ type orderSpec struct {
 	want   string            // printed expression for select-item matching
 }
 
-// orderKey evaluates one ORDER BY key for row i.
-func (ex *Executor) orderKey(sp *orderSpec, sel *sqlast.SelectStmt, res *Result, itemPrints []string, row []Value, projRows []projected, i int) (Value, error) {
+// outputIndex resolves one ORDER BY key to a column of an output row of
+// length rowLen: an ordinal, an output column or alias, or a select item
+// printed like the key. -1 means the key is evaluated over the row's source.
+func (sp *orderSpec) outputIndex(sel *sqlast.SelectStmt, res *Result, itemPrints []string, rowLen int) int {
 	// Ordinal: ORDER BY 2.
-	if sp.hasOrd && sp.ord >= 1 && sp.ord <= len(row) {
-		return row[sp.ord-1], nil
+	if sp.hasOrd && sp.ord >= 1 && sp.ord <= rowLen {
+		return sp.ord - 1
 	}
 	// Output column / alias match.
 	if sp.cr != nil {
 		for j, c := range res.Columns {
 			if strings.EqualFold(c, sp.cr.Column) {
-				return row[j], nil
+				return j
 			}
 		}
 	}
 	// Expression match against a select item (e.g. ORDER BY COUNT(*)).
 	for j, it := range sel.Items {
-		if it.Expr != nil && itemPrints[j] == sp.want && j < len(row) {
-			return row[j], nil
+		if it.Expr != nil && itemPrints[j] == sp.want && j < rowLen {
+			return j
 		}
 	}
-	// General expression over the source row/group.
-	if projRows != nil && i < len(projRows) {
-		p := projRows[i]
-		return ex.eval(sp.expr, p.env, p.ctx)
-	}
-	return Value{}, fmt.Errorf("cannot resolve ORDER BY expression %s", sp.want)
+	return -1
 }
 
 // project evaluates FROM/WHERE/GROUP BY/HAVING and the select list.

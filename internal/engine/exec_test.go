@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
+
+	"fisql/internal/sqlparse"
 )
 
 // testDB builds the small concert/singer database used across engine tests.
@@ -229,6 +232,73 @@ func TestUnionIntersectExcept(t *testing.T) {
 		"SELECT country FROM singer EXCEPT SELECT country FROM singer WHERE age < 35")
 	if len(except.Rows) != 1 || except.Rows[0][0].S != "Netherlands" {
 		t.Errorf("except: %v", except.Rows)
+	}
+}
+
+// TestCompoundOrderByOutputOnly pins that a compound statement's ORDER BY
+// resolves output columns, aliases and ordinals only: its rows come from
+// several arms, so no arm's source rows can supply another key. The UNION
+// here deduplicates to exactly as many rows as its last arm has, so that
+// arm's rows cannot stand in for the result's.
+func TestCompoundOrderByOutputOnly(t *testing.T) {
+	db := NewDatabase("compound")
+	if err := db.LoadScript(`
+CREATE TABLE t1 (a INT, b INT);
+INSERT INTO t1 VALUES (1, 20), (2, 10);
+CREATE TABLE t2 (a INT, b INT);
+INSERT INTO t2 VALUES (2, 1), (1, 2);
+`); err != nil {
+		t.Fatal(err)
+	}
+	run := func(sql string) map[string]*Result {
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]*Result{}
+		for name, f := range map[string]func() (*Result, error){
+			"Run":    func() (*Result, error) { return NewExecutor(db).Query(sql) },
+			"Select": func() (*Result, error) { return NewExecutor(db).Select(sel) },
+		} {
+			res, err := f()
+			if err != nil {
+				if want := "cannot resolve ORDER BY expression b"; err.Error() != want {
+					t.Errorf("%s %q: error %q, want %q", name, sql, err, want)
+				}
+				continue
+			}
+			out[name] = res
+		}
+		return out
+	}
+	for _, sql := range []string{
+		"SELECT a FROM t1 UNION SELECT a FROM t2 ORDER BY b",
+		"SELECT a FROM t1 UNION ALL SELECT a FROM t2 ORDER BY b",
+	} {
+		if got := run(sql); len(got) != 0 {
+			t.Errorf("%q: want an error from both paths, got %v", sql, got)
+		}
+	}
+	for sql, want := range map[string]string{
+		"SELECT a FROM t1 UNION SELECT a FROM t2 ORDER BY a DESC":          "[2 1]",
+		"SELECT a AS x FROM t1 UNION ALL SELECT a FROM t2 ORDER BY x DESC": "[2 2 1 1]",
+		"SELECT a FROM t1 UNION ALL SELECT a FROM t2 ORDER BY 1":           "[1 1 2 2]",
+	} {
+		got := run(sql)
+		for _, name := range []string{"Run", "Select"} {
+			res := got[name]
+			if res == nil {
+				t.Errorf("%s %q: no result", name, sql)
+				continue
+			}
+			var as []int64
+			for _, r := range res.Rows {
+				as = append(as, r[0].I)
+			}
+			if fmt.Sprint(as) != want || !res.Ordered {
+				t.Errorf("%s %q: rows %v ordered=%v, want %s ordered", name, sql, as, res.Ordered, want)
+			}
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func fuzzSetup() error {
 			return
 		}
 		fuzzWorld.dbs["subq"] = subqueryDB()
-		for _, q := range subquerySeeds {
+		for _, q := range append(subquerySeeds, orderSeeds...) {
 			fuzzWorld.seeds = append(fuzzWorld.seeds, [2]string{"subq", q})
 		}
 		// A row-scaled corpus variant, so the differential also runs where
@@ -198,6 +198,28 @@ var subquerySeeds = []string{
 	"SELECT id FROM items WHERE EXISTS (SELECT nope FROM cands)",
 	"SELECT id FROM items WHERE val IS NULL AND val = (SELECT num FROM cands)",
 	"SELECT id FROM items WHERE id > 100 AND val = (SELECT num FROM cands)",
+}
+
+// orderSeeds sort and group subqueryDB's NULL, NaN, -0.0 and mixed-type
+// columns by output and non-output keys, ordinals and aggregates.
+var orderSeeds = []string{
+	"SELECT id FROM items ORDER BY score DESC",
+	"SELECT id, label FROM items ORDER BY flag, val DESC",
+	"SELECT id FROM items ORDER BY label, id DESC",
+	"SELECT grp FROM items ORDER BY val DESC, score",
+	"SELECT k FROM cands ORDER BY mixed DESC, num",
+	"SELECT k, txt FROM cands ORDER BY num, 2 DESC",
+	"SELECT x FROM nans ORDER BY x DESC",
+	"SELECT a FROM empty_t ORDER BY a",
+	"SELECT DISTINCT grp FROM items ORDER BY grp DESC",
+	"SELECT grp, COUNT(*) FROM items GROUP BY grp HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC, grp",
+	"SELECT k, COUNT(*) FROM cands GROUP BY k HAVING COUNT(*) >= 1 ORDER BY COUNT(*), MAX(num) DESC",
+	"SELECT label, COUNT(*) FROM items GROUP BY label HAVING MIN(val) IS NOT NULL ORDER BY COUNT(*) DESC, label",
+	"SELECT flag, COUNT(*), SUM(val) FROM items WHERE id > 1 GROUP BY flag HAVING COUNT(*) > 0 ORDER BY COUNT(*) DESC, SUM(val)",
+	"SELECT mixed, COUNT(*) FROM cands GROUP BY mixed HAVING COUNT(*) > 0 ORDER BY COUNT(*) DESC, mixed",
+	// A compound ORDER BY resolves output columns and ordinals only.
+	"SELECT id FROM items WHERE val IS NOT NULL UNION SELECT num FROM cands ORDER BY 1 DESC",
+	"SELECT id FROM items UNION SELECT num FROM cands ORDER BY val",
 }
 
 // runRowLeg executes a cached plan on a columnar-disabled executor — the

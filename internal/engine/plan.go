@@ -184,9 +184,9 @@ func (p *planner) selectStmt(sel *sqlast.SelectStmt, outer *planScope) {
 	// ORDER BY keys resolve leniently (no diagnostics): output-column and
 	// alias references are matched by orderRows before eval is ever called,
 	// so an unresolved name here is usually not an error. For compound
-	// selects the keys are skipped entirely: orderRows may evaluate them
-	// against another arm's row envs (or not at all), so slots planned
-	// against the first arm's scope would be wrong.
+	// selects the keys are skipped entirely: orderRows resolves them
+	// against output columns and ordinals only, never evaluating them, and
+	// the enclosing subqueries are conservatively marked correlated.
 	if sel.Compound == nil {
 		for _, ob := range sel.OrderBy {
 			p.expr(ob.Expr, scope, false)

@@ -428,26 +428,40 @@ func (v *vecExec) run() (*Result, bool) {
 	}
 	cols := v.ex.outputColumns(stmt, sampleEnvs)
 
+	// Each output row's source, kept only for ORDER BY: a group's
+	// representative and aggregate context, or the context row.
+	ordered := len(stmt.OrderBy) > 0
 	var outRows [][]Value
-	var outEnvs []*rowEnv // lazily filled for ORDER BY (aggregated path)
+	var outEnvs []*rowEnv
 	var outCtxs []*evalCtx
-	var outSrc []int32 // context row per output row (non-aggregated path)
+	var outSrc []int32
 
 	if v.vp.aggregated {
 		groups, reps, ok := v.groupSel(selIdx)
 		if !ok {
 			return nil, false
 		}
+		// Every group's aggregate values live in one flat array, nAgg per
+		// group, in vp.aggNodes order.
+		nAgg := len(v.vp.aggNodes)
+		aggVals := make([]Value, len(groups)*nAgg)
+		ctxs := make([]evalCtx, len(groups))
+		outRows = make([][]Value, 0, len(groups))
+		if ordered {
+			outEnvs = make([]*rowEnv, 0, len(groups))
+			outCtxs = make([]*evalCtx, 0, len(groups))
+		}
 		for gi := range groups {
-			aggVals := make(map[*sqlast.FuncCall]Value, len(v.vp.aggNodes))
-			for _, node := range v.vp.aggNodes {
+			vals := aggVals[gi*nAgg : (gi+1)*nAgg]
+			for k, node := range v.vp.aggNodes {
 				val, err := v.aggValue(node, groups[gi])
 				if err != nil {
 					return nil, false
 				}
-				aggVals[node] = val
+				vals[k] = val
 			}
-			ctx := &evalCtx{aggVals: aggVals}
+			ctx := &ctxs[gi]
+			ctx.aggNodes, ctx.aggVals = v.vp.aggNodes, vals
 			var rep *rowEnv
 			if reps[gi] < 0 {
 				rep = &rowEnv{} // global aggregation over zero rows
@@ -468,10 +482,13 @@ func (v *vecExec) run() (*Result, bool) {
 				return nil, false
 			}
 			outRows = append(outRows, row)
-			outEnvs = append(outEnvs, rep)
-			outCtxs = append(outCtxs, ctx)
+			if ordered {
+				outEnvs = append(outEnvs, rep)
+				outCtxs = append(outCtxs, ctx)
+			}
 		}
 	} else {
+		outRows = make([][]Value, 0, len(selIdx))
 		for _, i := range selIdx {
 			row, err := v.ex.projectRow(stmt, v.env(int(i)), nil)
 			if err != nil {
@@ -480,6 +497,9 @@ func (v *vecExec) run() (*Result, bool) {
 			outRows = append(outRows, row)
 		}
 		outSrc = selIdx
+	}
+	if len(outRows) == 0 {
+		outRows = nil // the row path's empty result
 	}
 
 	if stmt.Distinct {
@@ -509,19 +529,16 @@ func (v *vecExec) run() (*Result, bool) {
 
 	res := &Result{Columns: cols, Rows: outRows}
 
-	if len(stmt.OrderBy) > 0 {
-		proj := make([]projected, len(outRows))
-		for i := range outRows {
-			proj[i].row = outRows[i]
-			if v.vp.aggregated {
-				proj[i].env = outEnvs[i]
-				proj[i].ctx = outCtxs[i]
-			} else {
-				proj[i].env = v.stableEnv(outSrc[i])
+	if ordered {
+		src := orderSrc{env: func(i int) (*rowEnv, *evalCtx) { return outEnvs[i], outCtxs[i] }}
+		if !v.vp.aggregated {
+			src = orderSrc{
+				env: func(i int) (*rowEnv, *evalCtx) { return v.stableEnv(outSrc[i]), nil },
+				col: v.orderCol,
+				src: outSrc,
 			}
 		}
-		v.ex.lastProjected = proj
-		if err := v.ex.orderRows(stmt, res); err != nil {
+		if err := v.ex.orderRows(stmt, res, src); err != nil {
 			return nil, false
 		}
 		res.Ordered = true
@@ -615,6 +632,22 @@ func (v *vecExec) slotCol(e sqlast.Expr) (int, bool) {
 		return 0, false
 	}
 	return slot.col, true
+}
+
+// orderCol returns the typed column a bare ORDER BY column key reads on a
+// non-aggregated single-table statement, or nil. Output row i then holds
+// the key at context row outSrc[i]. kindOther columns stay evaluated: only
+// the other kinds exclude NaN and mixed domains, where Compare is a total
+// order that colData.compareRows mirrors.
+func (v *vecExec) orderCol(e sqlast.Expr) *colData {
+	if v.vp.t2 != nil {
+		return nil
+	}
+	ci, ok := v.slotCol(e)
+	if !ok || v.ct1.cols[ci].kind == kindOther {
+		return nil
+	}
+	return &v.ct1.cols[ci]
 }
 
 // constVal evaluates a literal operand once. Literal evaluation is
@@ -1121,64 +1154,19 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 			c := &v.ct1.cols[ci]
 			switch {
 			case isNumericKind(c.kind):
-				index := make(map[float64]int, 64)
-				nullGroup := -1
-				for _, i := range selIdx {
-					var gi int
-					if c.null(int(i)) {
-						if nullGroup < 0 {
-							nullGroup = len(groups)
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = nullGroup
-					} else {
-						f := c.nums[i]
-						g, found := index[f]
-						if !found {
-							g = len(groups)
-							index[f] = g
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = g
-					}
-					groups[gi] = append(groups[gi], i)
-				}
+				groups, reps = groupByKey(selIdx, c.nums, c.nulls)
 				return groups, reps, true
 			case c.kind == kindString:
-				index := make(map[string]int, 64)
-				nullGroup := -1
-				for _, i := range selIdx {
-					var gi int
-					if c.null(int(i)) {
-						if nullGroup < 0 {
-							nullGroup = len(groups)
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = nullGroup
-					} else {
-						s := c.strs[i]
-						g, found := index[s]
-						if !found {
-							g = len(groups)
-							index[s] = g
-							groups = append(groups, nil)
-							reps = append(reps, i)
-						}
-						gi = g
-					}
-					groups[gi] = append(groups[gi], i)
-				}
+				groups, reps = groupByKey(selIdx, c.strs, c.nulls)
 				return groups, reps, true
 			}
 		}
 	}
 
-	index := map[string]int{}
+	index := map[string]int32{}
+	ids := make([]int32, len(selIdx))
 	var kb []byte
-	for _, i := range selIdx {
+	for n, i := range selIdx {
 		kb = kb[:0]
 		for _, g := range v.stmt.GroupBy {
 			val, err := v.ex.eval(g, v.env(int(i)), nil)
@@ -1190,14 +1178,61 @@ func (v *vecExec) groupSel(selIdx []int32) (groups [][]int32, reps []int32, ok b
 		}
 		gi, found := index[string(kb)]
 		if !found {
-			gi = len(groups)
+			gi = int32(len(reps))
 			index[string(kb)] = gi
-			groups = append(groups, nil)
 			reps = append(reps, i)
 		}
-		groups[gi] = append(groups[gi], i)
+		ids[n] = gi
 	}
-	return groups, reps, true
+	return bucketRows(selIdx, ids, len(reps)), reps, true
+}
+
+// groupByKey partitions the selected rows by keys[i], with every NULL row
+// (nulls[i]) in one group placed where its first row was seen. Groups come
+// in first-seen order with their first row as representative.
+func groupByKey[K comparable](selIdx []int32, keys []K, nulls []bool) (groups [][]int32, reps []int32) {
+	index := make(map[K]int32, 64)
+	ids := make([]int32, len(selIdx))
+	nullGroup := int32(-1)
+	for n, i := range selIdx {
+		if nulls != nil && nulls[i] {
+			if nullGroup < 0 {
+				nullGroup = int32(len(reps))
+				reps = append(reps, i)
+			}
+			ids[n] = nullGroup
+			continue
+		}
+		gi, found := index[keys[i]]
+		if !found {
+			gi = int32(len(reps))
+			index[keys[i]] = gi
+			reps = append(reps, i)
+		}
+		ids[n] = gi
+	}
+	return bucketRows(selIdx, ids, len(reps)), reps
+}
+
+// bucketRows splits the selected rows into nGroups groups by group id
+// (ids[n] for selIdx[n]), keeping selection order within each group. A
+// counting pass sizes every group, so all of them share one backing array.
+func bucketRows(selIdx, ids []int32, nGroups int) [][]int32 {
+	sizes := make([]int32, nGroups)
+	for _, g := range ids {
+		sizes[g]++
+	}
+	backing := make([]int32, len(selIdx))
+	groups := make([][]int32, nGroups)
+	start := int32(0)
+	for g, size := range sizes {
+		groups[g] = backing[start : start : start+size]
+		start += size
+	}
+	for n, i := range selIdx {
+		groups[ids[n]] = append(groups[ids[n]], i)
+	}
+	return groups
 }
 
 // ----------------------------------------------------------------------------
